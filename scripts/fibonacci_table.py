@@ -7,19 +7,12 @@ rank next to the Fibonacci target.
 import argparse
 from dataclasses import dataclass
 
-from strathom.facelattice import flag_rank, ic_lattices
+from strathom.facelattice import fibonacci, flag_rank, ic_lattices
 
 
 @dataclass(frozen=True)
 class Config:
     max_dim: int = 5
-
-
-def fibonacci(n: int) -> int:
-    a, b = 1, 1
-    for _ in range(n - 1):
-        a, b = b, a + b
-    return a
 
 
 def main() -> None:

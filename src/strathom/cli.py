@@ -17,9 +17,11 @@ import traceback
 from .complexes import complex_from_json
 from .facelattice import (
     FlagVector,
+    fibonacci,
     flag_rank,
     flag_vector,
     ic_lattices,
+    ic_words,
     lattice_from_json,
 )
 from .hcalc import eval_word, fit_and_predict, ic_check, ic_training_data
@@ -45,7 +47,7 @@ def _cmd_iccheck(args) -> dict:
     words = 0
     all_hold = True
     for n in range(1, args.max_len + 1):
-        for word, _ in ic_lattices(n):
+        for word in ic_words(n):
             words += 1
             all_hold = all_hold and ic_check(eval_word(word)).holds
     return {"max_len": args.max_len, "words": words, "all_hold": all_hold}
@@ -56,16 +58,9 @@ def _cmd_flag(args) -> dict:
     return flag_vector(lattice).to_json()
 
 
-def _fibonacci(n: int) -> int:
-    a, b = 1, 1
-    for _ in range(n - 1):
-        a, b = b, a + b
-    return a
-
-
 def _cmd_fibrank(args) -> dict:
     rank = flag_rank(lattice for _, lattice in ic_lattices(args.dim))
-    target = _fibonacci(args.dim + 1)
+    target = fibonacci(args.dim + 1)
     return {"rank": rank, "fibonacci": target, "match": rank == target}
 
 
@@ -104,6 +99,8 @@ def _cmd_lg(args) -> dict:
 def _cmd_shapes(args) -> dict:
     if not args.dd_check:
         raise ValueError("shapes requires --dd-check")
+    if args.max_total_dim < 0:
+        raise ValueError(f"--max-total-dim must be >= 0, got {args.max_total_dim}")
     all_zero = all(dd_check(shape) for shape in iter_shapes(args.max_total_dim))
     return {"all_zero": all_zero}
 

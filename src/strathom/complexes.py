@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .errors import ValidationError
+from .errors import ValidationError, is_int
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,11 @@ class Perversity:
         if not isinstance(doc, dict):
             raise ValidationError("perversity must be \"middle\" or a codim->value map")
         try:
-            entries = {int(c): int(v) for c, v in doc.items()}
+            entries = {int(c): v for c, v in doc.items()}
         except (TypeError, ValueError) as exc:
             raise ValidationError("perversity map needs integer codims and values") from exc
+        if not all(is_int(v) for v in entries.values()):
+            raise ValidationError("perversity map needs integer codims and values")
         if sorted(entries) != list(range(2, m + 1)):
             raise ValidationError(f"perversity map must cover codimensions 2..{m}")
         return Perversity(tuple(entries[c] for c in range(2, m + 1)))
@@ -107,7 +109,7 @@ class StratifiedComplex:
         for v, s in strata.items():
             if not isinstance(v, str):
                 raise ValidationError(f"vertex names must be strings, got {v!r}")
-            if not isinstance(s, int) or s < 0:
+            if not is_int(s) or s < 0:
                 raise ValidationError(f"stratum label of {v!r} must be an integer >= 0")
         sets = {frozenset(f) for f in maximal_simplices}
         sets.discard(frozenset())
@@ -274,14 +276,21 @@ def complex_from_json(doc) -> StratifiedComplex:
     for key in ("dim", "vertices", "strata", "maximal_simplices"):
         if key not in doc:
             raise ValidationError(f"complex document is missing {key!r}")
+    if not is_int(doc["dim"]):
+        raise ValidationError(f"'dim' must be an integer, got {doc['dim']!r}")
+    vertices = doc["vertices"]
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        raise ValidationError("'vertices' must be a list of vertex names")
     strata = doc["strata"]
     if not isinstance(strata, dict):
         raise ValidationError("'strata' must map vertex names to labels")
-    if sorted(strata) != sorted(doc["vertices"]):
+    if sorted(strata) != sorted(vertices):
         raise ValidationError("'vertices' and 'strata' must name the same vertices")
     maximal = doc["maximal_simplices"]
-    if not isinstance(maximal, list) or not all(isinstance(f, list) for f in maximal):
-        raise ValidationError("'maximal_simplices' must be a list of vertex lists")
+    if not isinstance(maximal, list) or not all(
+        isinstance(f, list) and all(isinstance(v, str) for v in f) for f in maximal
+    ):
+        raise ValidationError("'maximal_simplices' must be a list of lists of vertex names")
     m_guess = max((len(f) for f in maximal), default=0) - 1
     perversity = Perversity.from_json(doc.get("perversity", "middle"), m_guess)
     k = StratifiedComplex(strata, map(set, maximal), perversity)

@@ -1,4 +1,4 @@
-"""Shared exception types.
+"""Shared exception types, and the integer test every validator uses.
 
 ValidationError: structural data fails an invariant (bad lattice, bad
 complex, bad perversity).  DomainError: an operation is undefined on the
@@ -14,3 +14,8 @@ class ValidationError(ValueError):
 
 class DomainError(ValueError):
     pass
+
+
+def is_int(value) -> bool:
+    """Whether value is an integer; JSON's true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)

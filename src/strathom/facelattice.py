@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, is_int
 from .exactla import dense_rank
 
 WORD_LETTERS = "IC"
@@ -46,7 +46,7 @@ class FaceLattice:
         ids = tuple(sorted(faces))
         dims = tuple(faces[i] for i in ids)
         for i, d in zip(ids, dims):
-            if not isinstance(d, int):
+            if not is_int(d):
                 raise ValidationError(f"face {i!r} has non-integer dimension {d!r}")
         n = max(dims)
         if n < 0:
@@ -258,14 +258,16 @@ class FlagVector:
         if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
             raise ValidationError("flag vector document needs 'dim' and 'entries'")
         n = doc["dim"]
-        if not isinstance(n, int) or n < 0:
+        if not is_int(n) or n < 0:
             raise ValidationError("flag vector 'dim' must be a non-negative integer")
+        if not isinstance(doc["entries"], dict):
+            raise ValidationError("flag vector 'entries' must map subsets to counts")
         entries = {}
         for key, v in doc["entries"].items():
             subset = frozenset(int(p) for p in key.split(",") if p != "")
             if any(not 0 <= j < n for j in subset):
                 raise ValidationError(f"flag entry {key!r} is outside 0..{n - 1}")
-            if not isinstance(v, int):
+            if not is_int(v):
                 raise ValidationError(f"flag entry {key!r} must be an integer")
             entries[subset] = v
         expected = set(subset_order(n))
@@ -332,15 +334,25 @@ def flag_rank(lattices) -> int:
     return dense_rank(rows)
 
 
+def ic_words(n: int) -> list[str]:
+    """All words of length n over {I, C}, sorted."""
+    if n < 1:
+        raise DomainError(f"IC words need length n >= 1, got {n}")
+    return ["".join(letters) for letters in product(sorted(WORD_LETTERS), repeat=n)]
+
+
 def ic_lattices(n: int):
     """All words of length n over {I, C} with their lattices, sorted."""
-    if n < 1:
-        raise DomainError("ic_lattices needs n >= 1")
-    out = []
-    for letters in product(sorted(WORD_LETTERS), repeat=n):
-        word = "".join(letters)
-        out.append((word, from_word(word)))
-    return out
+    return [(word, from_word(word)) for word in ic_words(n)]
+
+
+def fibonacci(n: int) -> int:
+    """F(n) with F(1) = F(2) = 1; the IC flag vectors of dimension n span
+    a space of dimension F(n+1)."""
+    a, b = 1, 1
+    for _ in range(n - 1):
+        a, b = b, a + b
+    return a
 
 
 # ----------------------------------------------------------------- json
@@ -365,11 +377,19 @@ def lattice_from_json(doc) -> FaceLattice:
         raise ValidationError("each face needs an 'id' and a 'dim'") from exc
     if len(faces) != len(doc["faces"]):
         raise ValidationError("face ids must be unique")
+    if not all(isinstance(i, str) for i in faces):
+        raise ValidationError("face ids must be strings")
+    if not isinstance(doc["covers"], list):
+        raise ValidationError("'covers' must be a list of [lower, upper] pairs")
     covers = []
     for pair in doc["covers"]:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        if not isinstance(pair, list) or len(pair) != 2:
             raise ValidationError("each cover must be a [lower, upper] pair")
+        if not isinstance(pair[0], str) or not isinstance(pair[1], str):
+            raise ValidationError(f"cover {pair!r} must name faces by their string ids")
         covers.append((pair[0], pair[1]))
+    if not is_int(doc["dim"]):
+        raise ValidationError(f"'dim' must be an integer, got {doc['dim']!r}")
     lattice = FaceLattice(faces, covers)
     if lattice.dim != doc["dim"]:
         raise ValidationError(

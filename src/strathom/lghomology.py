@@ -1,51 +1,65 @@
 """Order-one local-global intersection homology of stratified complexes.
 
-Chains are built from two kinds of small cells living inside single closed
-simplices of the complex: cone cells, affine maps of shape (i,0) modelled on
-the cone over an i-simplex, and prism cells of shape (i,1) modelled on an
-interval crossed with that cone.  A cone cell records where the apex and the
-i+1 base corners land; a prism cell records two such maps and sweeps between
-them.  Chain groups are taken alternating: permuting the base positions of
-a cone (the base columns of a prism) multiplies a cell by the sign of the
-permutation, so each chain group has one basis element per sorted
-representative.  Degenerate cells, a repeated base vertex for a cone and
-equal end maps or a repeated base column for a prism, are then identified
-with zero; a repeat is fixed by an odd transposition, making the cell its
-own negative.  Without this quotient the boundary would not square to zero
+Chains are built from small affine cells living inside single closed
+simplices of the complex.  A cell of shape (i, j), j in {0, 1}, is modelled
+on the stratified simplex simplex(j) x C(simplex(i)) of `stratsimplex`: it
+records one cone map at each vertex of simplex(j), the image of the apex
+followed by the images of the i+1 base corners, and sweeps between them.
+Shape (i, 0) is a single cone, shape (i, 1) an interval crossed with one.
+The i+1 base columns, the images of one base corner under every cone map,
+are the positions that the chain groups alternate over: permuting them
+multiplies a cell by the sign of the permutation, so each chain group has
+one basis element per cell with sorted columns.  A cell is degenerate, and
+identified with zero, when a base column repeats or two cone maps are
+equal; a repeat is fixed by an odd transposition, making the cell its own
+negative.  Without this quotient the boundary would not square to zero
 once degenerate summands are dropped.
+
+The boundary of a cell is the boundary of its shape, `stratsimplex.facets`,
+with the same signs: a facet of simplex(j) drops one cone map, a facet of
+the base drops one column from every map, and the coning direction has no
+facet.  The oracle in tests/oracles.py keeps the sign rule this module
+had before (a cone loses base corner l with sign (-1)^l, a prism lists
+its end maps as +end1 - end0 and its base facets with sign (-1)^(l+1));
+a cell of shape (i, j) here is (-1)^i times the oracle's, so cycles,
+boundaries and ranks are the same under both.
 
 Allowability splits in two parts.  The perversity part constrains only the
 slices away from the cone point.  A point of a closed simplex lies in X_d
 exactly when every vertex of its barycentric support is labelled <= d, so
-inside a slice the preimage of X_{m-c} is a face cut out by label
-thresholds and its dimension is pure counting; the bound is
-dim <= (slice dim) - c + p(c) with slice dimension i for cones and i+1 for
-prisms.  The coning direction itself is exempt: the apex may sit in any
-stratum.  What the apex does is recorded separately by w_1(f), the stratum
-of the (dense part of the) apex image, and a w-sequence constraint
-w_1 <= w_1(f) selects cells whose cone points sit at least that deep.
+the preimage of X_{m-c} is cut out by label thresholds and its dimension is
+pure counting: on the face of simplex(j) spanned by a set T of cone maps it
+is (|A| - 1) + (|T| - 1), with A the base positions where every map in T
+lands in X_{m-c}.  Each must stay within (i + j) - c + p(c).  The coning
+direction itself is exempt: the apex may sit in any stratum.  What the
+apex does is recorded separately by w_1(f), the deepest stratum the apex
+path meets, and a w-sequence constraint w_1 <= w_1(f) selects cells whose
+cone points sit at least that deep.
 
 The rank of H_{(i,0);(w)} is dim Z - dim B, where Z collects the cycles
 among allowed (i,0) cells and B the parts of boundaries landing on them.  A
 boundary contributor is a formal sum of allowed (i+1,0) and (i,1) cells
-whose stray terms, prism facets of shape (i-1,1) and non-allowed (i,0)
-summands alike, are required to cancel; whatever remains is then
-automatically a cycle supported on the allowed cells.
+whose stray terms, (i-1,1) facets and non-allowed (i,0) summands alike, are
+required to cancel; whatever remains is then automatically a cycle
+supported on the allowed cells.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
+from operator import itemgetter
 
 from .complexes import StratifiedComplex
 from .errors import ValidationError
 from .exactla import ColumnReduction
+from .stratsimplex import StratifiedShape, facets
 
 __all__ = [
-    "ConeCell",
-    "PrismCell",
+    "Cell",
     "WSequence",
     "AllowReport",
     "LgReport",
@@ -57,75 +71,53 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConeCell:
-    """Affine cell of shape (i,0): an apex image and i+1 base corner images.
+@dataclass(frozen=True, slots=True)
+class Cell:
+    """Affine cell of shape (i, j): j+1 cone maps, stored end to end.
 
-    The images must jointly span a simplex of the ambient complex; the apex
-    is free to coincide with a base corner, only a repeat inside the base
-    makes the cell degenerate.
+    images holds, for each vertex of simplex(j) in turn, the apex image
+    followed by the i+1 base images.  The fields are taken as given;
+    `from_maps` checks them.  The images must jointly span a simplex of the
+    ambient complex; an apex may coincide with a base corner, and a single
+    map may repeat base vertices when j = 1, without degenerating the cell.
     """
 
-    apex: str
-    base: tuple
+    j: int
+    images: tuple
+
+    @classmethod
+    def from_maps(cls, *maps) -> "Cell":
+        """The cell sweeping over the given cone maps, (apex, base...) each."""
+        if len(maps) not in (1, 2):
+            raise ValidationError(f"a cell sweeps over 1 or 2 cone maps, got {len(maps)}")
+        if len({len(f) for f in maps}) != 1 or len(maps[0]) < 2:
+            raise ValidationError("cone maps of a cell must share one base length >= 1")
+        return cls(len(maps) - 1, tuple(itertools.chain.from_iterable(maps)))
 
     @property
     def i(self) -> int:
-        return len(self.base) - 1
+        return len(self.images) // (self.j + 1) - 2
+
+    def maps(self) -> tuple:
+        return _maps(self.j, self.images)
 
     @property
     def degenerate(self) -> bool:
-        return len(set(self.base)) < len(self.base)
+        return not _canonical(self.j, self.images)[0]
 
     def span(self) -> frozenset:
-        return frozenset(self.base) | {self.apex}
+        return frozenset(self.images)
 
     def __str__(self):
-        return "({}; {})".format(self.apex, ",".join(self.base))
+        return "(" + " -> ".join(f"{f[0]}; {','.join(f[1:])}" for f in self.maps()) + ")"
 
 
-@dataclass(frozen=True)
-class PrismCell:
-    """Multi-affine cell of shape (i,1): two cone maps swept along an interval.
-
-    Degeneracy has two sources: the sweep collapses (both end maps equal) or
-    some base column (base0[p], base1[p]) repeats at two positions.  An end
-    map alone may repeat base vertices without degenerating the prism.
-    """
-
-    apex0: str
-    base0: tuple
-    apex1: str
-    base1: tuple
-
-    def __post_init__(self):
-        if len(self.base0) != len(self.base1):
-            raise ValidationError("prism end maps must share one base length")
-
-    @property
-    def i(self) -> int:
-        return len(self.base0) - 1
-
-    def ends(self):
-        return ConeCell(self.apex0, self.base0), ConeCell(self.apex1, self.base1)
-
-    def columns(self) -> tuple:
-        return tuple(zip(self.base0, self.base1))
-
-    @property
-    def degenerate(self) -> bool:
-        if self.apex0 == self.apex1 and self.base0 == self.base1:
-            return True
-        cols = self.columns()
-        return len(set(cols)) < len(cols)
-
-    def span(self) -> frozenset:
-        return frozenset(self.base0) | frozenset(self.base1) | {self.apex0, self.apex1}
-
-    def __str__(self):
-        return "({}; {} -> {}; {})".format(
-            self.apex0, ",".join(self.base0), self.apex1, ",".join(self.base1)
-        )
+def _maps(j, images):
+    """The cone maps of a cell, (apex, base...) each; j is 0 or 1."""
+    if not j:
+        return (images,)
+    w = len(images) // 2
+    return images[:w], images[w:]
 
 
 @dataclass(frozen=True)
@@ -175,139 +167,149 @@ def _simplex_tuples(k: StratifiedComplex):
     return sorted((tuple(sorted(f)) for f in k.simplices), key=lambda t: (len(t), t))
 
 
-def enumerate_cells(k: StratifiedComplex, i: int, kind: str = "cone") -> list:
-    """All non-degenerate cells with base dimension i, each map listed once.
+def enumerate_cells(k: StratifiedComplex, i: int, j: int = 0) -> list:
+    """Every non-degenerate cell of shape (i, j) with sorted columns.
 
-    Canonical form: the supporting simplex is the exact span of the images,
-    so a map never appears again from a larger simplex containing it.  The
-    order is deterministic, supporting simplices by size then
-    lexicographically and candidate tuples in itertools order inside each.
+    Canonical form: the columns increase, and the supporting simplex is
+    the exact span of the images, so a cell never appears again from a
+    larger simplex containing it.  The order is deterministic: supporting
+    simplices by size then lexicographically; inside one, column sets in
+    itertools.combinations order, then apex images in itertools.product
+    order.
     """
     if i < 0:
         raise ValidationError(f"base dimension must be >= 0, got {i}")
-    if kind not in ("cone", "prism"):
-        raise ValidationError(f"cell kind must be 'cone' or 'prism', got {kind!r}")
+    if j not in (0, 1):
+        raise ValidationError(f"cell shape (i, j) needs j in 0..1, got {j!r}")
+    n_maps = j + 1
     out = []
     for simplex in _simplex_tuples(k):
-        if kind == "cone":
-            out.extend(_cone_cells_on(simplex, i))
+        if len(simplex) > n_maps * (i + 2):
+            break
+        vset = set(simplex)
+        apex_choices = list(itertools.product(simplex, repeat=n_maps))
+        for cols in itertools.combinations(itertools.product(simplex, repeat=n_maps), i + 1):
+            bases = tuple(zip(*cols))
+            missing = vset.difference(*bases)
+            if len(missing) > n_maps:
+                continue
+            # two equal cone maps need equal bases and equal apexes
+            tied = len(set(bases)) < n_maps
+            for apexes in apex_choices:
+                if missing.issubset(apexes) and not (tied and len(set(apexes)) < n_maps):
+                    out.append(Cell(j, tuple(itertools.chain.from_iterable(zip(apexes, *cols)))))
+    return out
+
+
+@cache
+def _facet_plan(i, j):
+    """(sign, child j, image picker, whether the child's columns stay
+    sorted) for each facet of shape (i, j)."""
+    w = i + 2
+    positions = range((j + 1) * w)
+    plan = []
+    for ref in facets(StratifiedShape((i, j))):
+        if ref.factor == 1:
+            # a vertex of simplex(j): drop that cone map
+            keep = [q for q in positions if q // w != ref.local]
+            plan.append((ref.sign, j - 1, itemgetter(*keep), False))
         else:
-            out.extend(_prism_cells_on(simplex, i))
-    return out
+            # a base corner: drop that column from every cone map
+            keep = [q for q in positions if q % w != ref.local + 1]
+            plan.append((ref.sign, j, itemgetter(*keep), True))
+    return tuple(plan)
 
 
-def _cone_cells_on(simplex, i):
-    # non-degenerate means injective base, so exact span needs |S| in
-    # {i+1, i+2}; with |S| = i+2 the apex is forced to the one missed vertex
-    if len(simplex) not in (i + 1, i + 2):
-        return []
-    cells = []
-    for base in itertools.permutations(simplex, i + 1):
-        missing = [v for v in simplex if v not in base]
-        for apex in missing or simplex:
-            cells.append(ConeCell(apex, base))
-    return cells
+def _canonical(j, images):
+    """(sign, images with sorted columns) of the cell (j, images).
 
-
-def _prism_cells_on(simplex, i):
-    # end bases may repeat vertices individually, so candidates range over
-    # sequences of distinct columns rather than pairs of injective bases
-    vset = set(simplex)
-    columns = [(x, y) for x in simplex for y in simplex]
-    cells = []
-    for cols in itertools.permutations(columns, i + 1):
-        base0 = tuple(c[0] for c in cols)
-        base1 = tuple(c[1] for c in cols)
-        covered = set(base0) | set(base1)
-        for apex0 in simplex:
-            for apex1 in simplex:
-                if covered | {apex0, apex1} != vset:
-                    continue
-                if apex0 == apex1 and base0 == base1:
-                    continue
-                cells.append(PrismCell(apex0, base0, apex1, base1))
-    return cells
-
-
-def cell_boundary(cell) -> list:
-    """Signed facet sum of a cell as (sign, facet) pairs.
-
-    Cone cells lose one base corner at a time with the usual alternating
-    sign; there is no facet in the coning direction.  Prism cells contribute
-    their two end cone maps first (the sweep endpoints), then prisms over
-    the base facets, shifted one slot in the sign ordering.  Degenerate
-    summands are dropped and degenerate input gives the empty sum.
+    Permuting columns multiplies a cell by the sign of the permutation; a
+    degenerate cell is zero and gives (0, None).  A single map's columns
+    are compared as its base images.
     """
-    if cell.degenerate:
-        return []
-    out = []
-    if isinstance(cell, ConeCell):
-        if cell.i == 0:
-            return []
-        for l in range(cell.i + 1):
-            child = ConeCell(cell.apex, cell.base[:l] + cell.base[l + 1 :])
-            out.append((1 if l % 2 == 0 else -1, child))
+    maps = _maps(j, images)
+    if len(set(maps)) < len(maps):
+        return 0, None
+    keys = maps[0][1:] if not j else tuple(zip(*[f[1:] for f in maps]))
+    if len(set(keys)) < len(keys):
+        return 0, None
+    if keys == tuple(sorted(keys)):
+        return 1, images
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    inversions = sum(1 for a, b in itertools.combinations(order, 2) if a > b)
+    moved = tuple(itertools.chain.from_iterable(
+        (f[0],) + tuple(f[q + 1] for q in order) for f in maps))
+    return (-1 if inversions % 2 else 1), moved
+
+
+def cell_boundary(cell: Cell) -> dict:
+    """Signed facet sum of a cell, {cell with sorted columns: coefficient}.
+
+    The facets and their signs are those of the cell's shape under
+    `stratsimplex.facets`.  Degenerate summands are dropped, coefficients
+    that cancel are left out, and degenerate input gives the empty sum.
+    """
+    sign, images = _canonical(cell.j, cell.images)
+    out = {}
+    if not sign:
         return out
-    end0, end1 = cell.ends()
-    if not end1.degenerate:
-        out.append((1, end1))
-    if not end0.degenerate:
-        out.append((-1, end0))
-    if cell.i >= 1:
-        for p in range(cell.i + 1):
-            child = PrismCell(
-                cell.apex0,
-                cell.base0[:p] + cell.base0[p + 1 :],
-                cell.apex1,
-                cell.base1[:p] + cell.base1[p + 1 :],
-            )
-            if not child.degenerate:
-                out.append((-1 if p % 2 == 0 else 1, child))
-    return out
+    for fsign, child_j, pick, sorted_columns in _facet_plan(cell.i, cell.j):
+        child = pick(images)
+        if sorted_columns:
+            # dropping one of sorted, distinct columns keeps them so; only
+            # two cone maps can have become equal
+            maps = _maps(child_j, child)
+            csign = 1 if len(set(maps)) == len(maps) else 0
+        else:
+            csign, child = _canonical(child_j, child)
+        if csign:
+            key = Cell(child_j, child)
+            out[key] = out.get(key, 0) + sign * fsign * csign
+    return {child: coef for child, coef in out.items() if coef}
 
 
-def cell_allowed(k: StratifiedComplex, cell, w: WSequence | None = None) -> AllowReport:
+@cache
+def _map_sets(i, j):
+    """(label slices, |T| - 1) for every nonempty set T of cone maps of
+    shape (i, j); slice t picks the base labels of map t."""
+    w = i + 2
+    bases = [slice(t * w + 1, (t + 1) * w) for t in range(j + 1)]
+    return tuple((tuple(bases[t] for t in ids), size - 1)
+                 for size in range(1, j + 2) for ids in itertools.combinations(range(j + 1), size))
+
+
+def _perversity_ok(labels, i, j, m, p):
+    for cuts, extra in _map_sets(i, j):
+        if extra:
+            depth = sorted(map(max, *[labels[cut] for cut in cuts]))
+        else:
+            depth = sorted(labels[cuts[0]])
+        for c in range(2, m + 1):
+            deep = bisect_right(depth, m - c)
+            if deep and deep - 1 + extra > i + j - c + p(c):
+                return False
+    return True
+
+
+def cell_allowed(k: StratifiedComplex, cell: Cell, w: WSequence | None = None) -> AllowReport:
     """Perversity and w-sequence admissibility of one cell.
 
     Only slices with the coning parameter away from zero are constrained,
-    so apex labels never enter the perversity part.  Writing d = m - c and
-    A for the set of base positions labelled <= d, the face of a slice
-    living in X_d has dimension |A| - 1; for a prism the two ends are
-    checked separately and interior interval positions add the sweep
-    direction, giving |A ∩ B| on the shared columns.  Each count must stay
-    within (slice dim) - c + p(c).  The apex stratum is reported as w_1:
-    the label of the apex image for a cone, the deepest point of the apex
-    path for a prism.
+    so apex labels never enter the perversity part.  Writing d = m - c, for
+    every nonempty set T of cone maps let A be the base positions where
+    every map in T lands on a label <= d; the face of X_d on that part of
+    the cell has dimension (|A| - 1) + (|T| - 1), which must stay within
+    (i + j) - c + p(c) whenever A is nonempty.  The apex stratum w_1 is
+    the largest apex label, the deepest point of the apex path.
     """
     m = k.dim
-    p = k.perversity
-    ok = True
-    if isinstance(cell, ConeCell):
-        w1 = k.label(cell.apex)
-        labels = tuple(k.label(v) for v in cell.base)
-        for c in range(2, m + 1):
-            d = m - c
-            deep = sum(1 for lab in labels if lab <= d)
-            if deep and deep - 1 > cell.i - c + p(c):
-                ok = False
-                break
-    else:
-        w1 = max(k.label(cell.apex0), k.label(cell.apex1))
-        lab0 = tuple(k.label(v) for v in cell.base0)
-        lab1 = tuple(k.label(v) for v in cell.base1)
-        for c in range(2, m + 1):
-            d = m - c
-            limit = cell.i + 1 - c + p(c)
-            side0 = {q for q, lab in enumerate(lab0) if lab <= d}
-            side1 = {q for q, lab in enumerate(lab1) if lab <= d}
-            both = side0 & side1
-            if (
-                (side0 and len(side0) - 1 > limit)
-                or (side1 and len(side1) - 1 > limit)
-                or (both and len(both) > limit)
-            ):
-                ok = False
-                break
+    strata = k.strata
+    j = cell.j
+    labels = [strata[v] for v in cell.images]
+    width = len(labels) // (j + 1)
+    w1 = max(labels[::width])
+    # with no label <= m - 2 no point of the cell lies in a singular stratum
+    ok = min(labels) > m - 2 or _perversity_ok(labels, width - 2, j, m, k.perversity)
     w_ok = True
     if w is not None:
         if len(w) != 1:
@@ -316,66 +318,15 @@ def cell_allowed(k: StratifiedComplex, cell, w: WSequence | None = None) -> Allo
     return AllowReport(allowed=ok and w_ok, perversity_ok=ok, w_ok=w_ok, w1=w1)
 
 
-def _parity(order):
-    inversions = sum(
-        1 for a in range(len(order)) for b in range(a + 1, len(order)) if order[a] > order[b]
-    )
-    return -1 if inversions % 2 else 1
-
-
-def _canonical(cell):
-    """Signed representative of a cell in the oriented basis.
-
-    Chains are taken alternating: permuting base positions (columns, for a
-    prism) multiplies a cell by the sign of the permutation.  A repeated
-    entry is fixed by an odd transposition, which forces the cell to be its
-    own negative, hence zero; that is why any repeat degenerates, not just
-    adjacent ones.  Returns (sign, representative), sign 0 when degenerate.
-    """
-    if cell.degenerate:
-        return 0, cell
-    if isinstance(cell, ConeCell):
-        keys = cell.base
-    else:
-        keys = cell.columns()
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    if order == sorted(order):
-        return 1, cell
-    if isinstance(cell, ConeCell):
-        rep = ConeCell(cell.apex, tuple(cell.base[q] for q in order))
-    else:
-        rep = PrismCell(
-            cell.apex0,
-            tuple(cell.base0[q] for q in order),
-            cell.apex1,
-            tuple(cell.base1[q] for q in order),
-        )
-    return _parity(order), rep
-
-
-def _basis_cells(k, i, kind):
-    return [c for c in enumerate_cells(k, i, kind) if _canonical(c) == (1, c)]
-
-
-def _accumulate(cell):
-    col = Counter()
-    for sign, child in cell_boundary(cell):
-        sgn, rep = _canonical(child)
-        if sgn:
-            col[rep] += sign * sgn
-    return {rep: coef for rep, coef in col.items() if coef}
-
-
 def lg_ranks(k: StratifiedComplex, i: int, w) -> LgReport:
     """Rank of the order-one local-global group in degree (i,0) at w.
 
     Z is the kernel of the full boundary on allowed (i,0) cells.  B is
-    assembled from allowed (i+1,0) cone cells and (i,1) prism cells: a
-    combination qualifies when its boundary components on non-allowed (i,0)
-    cells and on every (i-1,1) prism cancel, and B is what it leaves on the
-    allowed (i,0) cells.  Row regions are ordered so that one column
-    reduction yields both the full rank and the rank of the constraint
-    block as a suffix rank; dim B is their difference.
+    assembled from allowed (i+1,0) and (i,1) cells: a combination qualifies
+    when its boundary components off the allowed (i,0) cells cancel, and B
+    is what it leaves on them.  Rows of allowed (i,0) cells come first, so
+    one column reduction yields both the full rank and the rank of the
+    constraint block as a suffix rank; dim B is their difference.
     """
     if not isinstance(w, WSequence):
         w = WSequence(tuple(w))
@@ -391,38 +342,36 @@ def lg_ranks(k: StratifiedComplex, i: int, w) -> LgReport:
     if w1 > m:
         raise ValidationError(f"w_1 must lie in 0..{m} for this complex, got {w1}")
 
-    cones_i = _basis_cells(k, i, "cone")
-    allowed_i = [c for c in cones_i if cell_allowed(k, c, w)]
+    def allowed(base_dim, j):
+        return [c for c in enumerate_cells(k, base_dim, j) if cell_allowed(k, c, w)]
 
+    allowed_i = allowed(i, 0)
     rows = {}
     zred = ColumnReduction()
     for cell in allowed_i:
         zred.add_column(
-            {rows.setdefault(child, len(rows)): coef for child, coef in _accumulate(cell).items()}
+            {rows.setdefault(child, len(rows)): coef for child, coef in cell_boundary(cell).items()}
         )
     cycles = len(allowed_i) - zred.rank
 
-    pos = {cell: j for j, cell in enumerate(allowed_i)}
-    for cell in cones_i:
-        pos.setdefault(cell, len(pos))
-    n_all = len(pos)
+    pos = {cell: r for r, cell in enumerate(allowed_i)}
+    n_allowed = len(pos)
     stray = {}
-
-    cones_up = [c for c in _basis_cells(k, i + 1, "cone") if cell_allowed(k, c, w)]
-    prisms = [c for c in _basis_cells(k, i, "prism") if cell_allowed(k, c, w)]
+    cones_up = allowed(i + 1, 0)
+    prisms = allowed(i, 1)
     bred = ColumnReduction()
     for cell in cones_up + prisms:
         col = {}
-        for child, coef in _accumulate(cell).items():
-            if isinstance(child, ConeCell):
-                col[pos[child]] = coef
-            else:
-                col[n_all + stray.setdefault(child, len(stray))] = coef
+        for child, coef in cell_boundary(cell).items():
+            r = pos.get(child)
+            if r is None:
+                r = n_allowed + stray.setdefault(child, len(stray))
+            col[r] = coef
         bred.add_column(col)
-    boundaries = bred.rank - bred.rank_on_suffix(len(allowed_i))
+    boundaries = bred.rank - bred.rank_on_suffix(n_allowed)
 
     assert 0 <= boundaries <= cycles, "boundary space escaped the cycle space"
-    counts = dict(zip(keys, (len(allowed_i), len(cones_up), len(prisms))))
+    counts = dict(zip(keys, (n_allowed, len(cones_up), len(prisms))))
     return LgReport(
         rank=cycles - boundaries, cells=counts, w=w.entries, cycles=cycles, boundaries=boundaries
     )
@@ -432,37 +381,27 @@ def cells_dd_check(k: StratifiedComplex, max_i: int = 2) -> bool:
     """True when the double boundary of every cell with base dim <= max_i
     vanishes in the degeneracy quotient.
 
-    Boundary combinatorics depend only on the coincidence pattern of the
-    vertex slots, so each pattern is checked once; the sweep over a complex
-    then costs little more than the cell enumeration itself.
+    Boundary combinatorics depend only on the shape and the coincidence
+    pattern of the images, so each pattern is checked once; the sweep over
+    a complex then costs little more than the cell enumeration itself.
     """
-    seen = {}
+    seen = set()
     for i in range(max_i + 1):
-        for kind in ("cone", "prism"):
-            for cell in _basis_cells(k, i, kind):
+        for j in (0, 1):
+            for cell in enumerate_cells(k, i, j):
                 key = _pattern(cell)
                 if key in seen:
                     continue
+                seen.add(key)
                 total = Counter()
-                for coef, child in _signed_boundary(cell):
-                    for coef2, grand in _signed_boundary(child):
+                for child, coef in cell_boundary(cell).items():
+                    for grand, coef2 in cell_boundary(child).items():
                         total[grand] += coef * coef2
-                ok = not any(total.values())
-                seen[key] = ok
-                if not ok:
+                if any(total.values()):
                     return False
     return True
 
 
-def _signed_boundary(cell):
-    return [(coef, rep) for rep, coef in _accumulate(cell).items()]
-
-
 def _pattern(cell):
-    if isinstance(cell, ConeCell):
-        slots = (cell.apex,) + cell.base
-    else:
-        slots = (cell.apex0,) + cell.base0 + (cell.apex1,) + cell.base1
     first = {}
-    coded = tuple(first.setdefault(v, len(first)) for v in slots)
-    return (type(cell).__name__, cell.i, coded)
+    return cell.j, tuple(first.setdefault(v, len(first)) for v in cell.images)

@@ -86,39 +86,6 @@ def facets(shape: StratifiedShape) -> list[FacetRef]:
     return out
 
 
-@dataclass(frozen=True)
-class ApexLocus:
-    """The j-th apex locus of a shape, as a nested descriptor."""
-
-    index: int
-    dim: int
-    descriptor: str
-
-
-def apex_loci(shape: StratifiedShape) -> list[ApexLocus]:
-    """Apex loci A_r, ..., A_1, outermost cone point first.
-
-    A_r is simplex(i_r) x {apex}; for j < r the locus is simplex(i_r)
-    crossed with the cone on the corresponding locus of the inner shape,
-    so dim A_j = i_r + 1 + dim of the inner locus.  The base stratum is
-    not a cone point and is not reported; order-0 shapes have no loci.
-    """
-    dims = shape.dims
-    r = shape.order
-    if r == 0:
-        return []
-    inner = apex_loci(StratifiedShape(dims[:-1]))
-    top = dims[-1]
-    out = [ApexLocus(r, top, f"simplex({top}) x apex")]
-    for locus in inner:
-        out.append(ApexLocus(
-            locus.index,
-            top + 1 + locus.dim,
-            f"simplex({top}) x cone({locus.descriptor})",
-        ))
-    return out
-
-
 def dd_check(shape: StratifiedShape) -> bool:
     """Whether the signed double boundary cancels termwise.
 

@@ -99,12 +99,72 @@ def test_identical_invocations_are_byte_identical(capsys, tmp_path):
     ["iccheck", "--max-len", "0"],
     ["ih", "--in", "/does/not/exist.json"],
     ["shapes", "--max-total-dim", "3"],
+    ["shapes", "--dd-check", "--max-total-dim", "-3"],
 ])
 def test_validation_failures_exit_one_with_message(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+EDGE = {"dim": 1, "vertices": ["a", "b"], "strata": {"a": 1, "b": 1},
+        "maximal_simplices": [["a", "b"]]}
+TRIANGLE = {"dim": 2, "vertices": ["a", "b", "c"], "strata": {"a": 2, "b": 2, "c": 2},
+            "maximal_simplices": [["a", "b", "c"]], "perversity": {"2": 0}}
+SEGMENT = {"dim": 1,
+           "faces": [{"id": "e", "dim": -1}, {"id": "a", "dim": 0}, {"id": "b", "dim": 0},
+                     {"id": "s", "dim": 1}],
+           "covers": [["e", "a"], ["e", "b"], ["a", "s"], ["b", "s"]]}
+POINT_FACES = [{"id": "e", "dim": -1}, {"id": "p", "dim": 0}]
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("ih", {**EDGE, "vertices": 5}),
+    ("ih", {**EDGE, "vertices": ["a", 5]}),
+    ("ih", {**EDGE, "maximal_simplices": [["a", ["b"]]]}),
+    ("ih", {**EDGE, "maximal_simplices": [["a", 2]]}),
+    ("ih", {**EDGE, "strata": {"a": True, "b": 1}}),
+    ("ih", {**EDGE, "dim": "1"}),
+    ("ih", {**EDGE, "dim": True}),
+    ("ih", {**TRIANGLE, "perversity": {"2": False}}),
+    ("ih", {**TRIANGLE, "perversity": {"2": "0"}}),
+    ("flag", {"dim": 0, "faces": POINT_FACES, "covers": 5}),
+    ("flag", {"dim": 0, "faces": POINT_FACES, "covers": [[["e"], "p"]]}),
+    ("flag", {"dim": 0, "faces": POINT_FACES, "covers": [["e", 0]]}),
+    ("flag", {"dim": 0, "faces": [{"id": "e", "dim": -1}, {"id": 0, "dim": 0}],
+              "covers": [["e", 0]]}),
+    ("flag", {**SEGMENT, "faces": SEGMENT["faces"][:3] + [{"id": "s", "dim": True}]}),
+    ("flag", {**SEGMENT, "dim": True}),
+    ("fit", {"dim": 3, "entries": [1, 6, 12, 8]}),
+    ("fit", {"dim": True, "entries": {"": 1, "0": 2}}),
+], ids=[
+    "vertices-int", "vertex-int", "simplex-nested", "simplex-int", "label-bool",
+    "dim-string", "dim-bool", "perversity-bool", "perversity-string", "covers-int", "cover-list-id", "cover-int-id", "face-int-id",
+    "face-dim-bool", "lattice-dim-bool", "entries-list", "flag-dim-bool",
+])
+def test_malformed_documents_exit_one_with_one_line(capsys, tmp_path, command, doc):
+    path = write_json(tmp_path, "bad.json", doc)
+    if command == "fit":
+        argv = ["fit", "--dim", "3", "--predict", path]
+    else:
+        argv = [command, "--in", path]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_string_dim_is_reported_as_such(capsys, tmp_path):
+    path = write_json(tmp_path, "edge.json", {**EDGE, "dim": "1"})
+    code, _, err = run(capsys, ["ih", "--in", path])
+    assert code == 1 and "'dim' must be an integer" in err
+
+
+def test_well_formed_base_documents_pass(capsys, tmp_path):
+    # the documents the malformed cases are cut from are themselves valid
+    assert run(capsys, ["ih", "--in", write_json(tmp_path, "edge.json", EDGE)])[0] == 0
+    assert run(capsys, ["ih", "--in", write_json(tmp_path, "tri.json", TRIANGLE)])[0] == 0
+    assert run(capsys, ["flag", "--in", write_json(tmp_path, "seg.json", SEGMENT)])[0] == 0
 
 
 def test_bad_dim_seq_exits_one(capsys, tmp_path):

@@ -1,13 +1,12 @@
-"""Cone and prism cells, allowability with w-constraints, rank oracle checks."""
+"""Cells of shape (i,0) and (i,1), allowability with w-constraints, rank oracle checks."""
 import pytest
 
-from oracles import naive_lg_rank
+from oracles import _closure, _lg_boundary, _lg_cone_cells, _lg_prism_cells, naive_lg_rank
 from strathom.complexes import StratifiedComplex, barycentric_subdivision
 from strathom.corpus import by_name, small_members
 from strathom.errors import ValidationError
 from strathom.lghomology import (
-    ConeCell,
-    PrismCell,
+    Cell,
     WSequence,
     cell_allowed,
     cell_boundary,
@@ -27,67 +26,123 @@ def _oracle_inputs(k):
     return strata, maximal
 
 
+def _oracle_form(cell):
+    """The oracle's spelling of a cell: ("cone", apex, base) or
+    ("prism", apex0, base0, apex1, base1)."""
+    maps = cell.maps()
+    if cell.j == 0:
+        return ("cone", maps[0][0], maps[0][1:])
+    return ("prism", maps[0][0], maps[0][1:], maps[1][0], maps[1][1:])
+
+
 # ------------------------------------------------------------------ cells
 
 
 def test_cell_degeneracy_rules():
-    assert not ConeCell("a", ("u", "v")).degenerate
-    assert ConeCell("a", ("u", "u")).degenerate
-    assert not ConeCell("u", ("u",)).degenerate
-    assert PrismCell("a", ("u",), "a", ("u",)).degenerate
-    assert PrismCell("a", ("u", "v"), "b", ("u", "v")).degenerate is False
+    assert not Cell.from_maps(("a", "u", "v")).degenerate
+    assert Cell.from_maps(("a", "u", "u")).degenerate
+    assert not Cell.from_maps(("u", "u")).degenerate
+    assert Cell.from_maps(("a", "u"), ("a", "u")).degenerate
+    assert Cell.from_maps(("a", "u", "v"), ("b", "u", "v")).degenerate is False
     # Same column at two slots collapses the sweep.
-    assert PrismCell("a", ("u", "u"), "b", ("v", "v")).degenerate
+    assert Cell.from_maps(("a", "u", "u"), ("b", "v", "v")).degenerate
     with pytest.raises(ValidationError, match="base length"):
-        PrismCell("a", ("u",), "b", ("u", "v"))
+        Cell.from_maps(("a", "u"), ("b", "u", "v"))
+
+
+def test_cell_shape_and_maps():
+    cell = Cell.from_maps(("a", "u", "x"), ("b", "v", "y"))
+    assert (cell.i, cell.j) == (1, 1)
+    assert cell.maps() == (("a", "u", "x"), ("b", "v", "y"))
+    assert str(cell) == "(a; u,x -> b; v,y)"
+    assert str(Cell.from_maps(("a", "u", "v"))) == "(a; u,v)"
 
 
 def test_cell_spans():
-    assert ConeCell("a", ("u", "v")).span() == frozenset({"a", "u", "v"})
-    assert PrismCell("a", ("u",), "b", ("v",)).span() == frozenset({"a", "b", "u", "v"})
+    assert Cell.from_maps(("a", "u", "v")).span() == frozenset({"a", "u", "v"})
+    assert Cell.from_maps(("a", "u"), ("b", "v")).span() == frozenset({"a", "b", "u", "v"})
 
 
 def test_enumerate_cells_on_an_edge():
     edge = _single_edge()
-    cones = enumerate_cells(edge, 0, "cone")
+    cones = enumerate_cells(edge, 0, 0)
     assert len(cones) == 4
-    assert {(c.apex, c.base) for c in cones} == {
-        ("u", ("u",)), ("v", ("v",)), ("u", ("v",)), ("v", ("u",))}
-    prisms = enumerate_cells(edge, 0, "prism")
+    assert {c.images for c in cones} == {
+        ("u", "u"), ("v", "v"), ("u", "v"), ("v", "u")}
+    prisms = enumerate_cells(edge, 0, 1)
     assert len(prisms) == 12
 
 
 def test_enumerate_cells_degenerate_base_excluded():
     vertex = StratifiedComplex({"u": 0}, [{"u"}])
-    assert enumerate_cells(vertex, 1, "cone") == []
+    assert enumerate_cells(vertex, 1, 0) == []
 
 
 def test_enumerate_cells_validation():
     edge = _single_edge()
     with pytest.raises(ValidationError, match=">= 0"):
-        enumerate_cells(edge, -1, "cone")
-    with pytest.raises(ValidationError, match="kind"):
-        enumerate_cells(edge, 0, "pyramid")
+        enumerate_cells(edge, -1, 0)
+    with pytest.raises(ValidationError, match="needs j in"):
+        enumerate_cells(edge, 0, 2)
+
+
+def test_enumerate_cells_matches_oracle_enumerators():
+    # Sorted-column cells, each once, exactly those the oracle spells out
+    # from the definitions.
+    oracle = {0: _lg_cone_cells, 1: _lg_prism_cells}
+    for entry, k in small_members():
+        simplices = sorted(_closure(k.maximal))
+        for i in (0, 1, 2):
+            for j in (0, 1):
+                cells = [_oracle_form(c) for c in enumerate_cells(k, i, j)]
+                assert len(cells) == len(set(cells)), (entry.name, i, j)
+                assert set(cells) == set(oracle[j](simplices, i)), (entry.name, i, j)
+
+
+def test_cell_boundary_is_the_oracle_boundary_resigned():
+    # The oracle keeps the old sign rule; a cell of shape (i, j) here is
+    # (-1)^i times the oracle's cell, so each coefficient picks up
+    # (-1)^(i + i') for a facet of base dimension i'.
+    for name in ("cone_hexagon", "susp_hexagon"):
+        k = by_name(name)
+        for i in (0, 1, 2):
+            for j in (0, 1):
+                for cell in enumerate_cells(k, i, j):
+                    got = {_oracle_form(child): coef * (-1) ** (i + child.i)
+                           for child, coef in cell_boundary(cell).items()}
+                    assert got == _lg_boundary(_oracle_form(cell)), (name, str(cell))
 
 
 def test_cone_boundary_alternates_over_base_deletions():
-    got = cell_boundary(ConeCell("a", ("u0", "u1")))
-    assert got == [(1, ConeCell("a", ("u1",))), (-1, ConeCell("a", ("u0",)))]
-    assert cell_boundary(ConeCell("a", ("u",))) == []
-    assert cell_boundary(ConeCell("a", ("u", "u"))) == []
+    got = cell_boundary(Cell.from_maps(("a", "u0", "u1")))
+    assert list(got.items()) == [(Cell.from_maps(("a", "u1")), -1),
+                                 (Cell.from_maps(("a", "u0")), 1)]
+    assert cell_boundary(Cell.from_maps(("a", "u"))) == {}
+    assert cell_boundary(Cell.from_maps(("a", "u", "u"))) == {}
 
 
 def test_prism_boundary_over_base_dim_zero():
-    got = cell_boundary(PrismCell("a", ("u",), "b", ("v",)))
-    assert got == [(1, ConeCell("b", ("v",))), (-1, ConeCell("a", ("u",)))]
+    got = cell_boundary(Cell.from_maps(("a", "u"), ("b", "v")))
+    assert list(got.items()) == [(Cell.from_maps(("b", "v")), 1),
+                                 (Cell.from_maps(("a", "u")), -1)]
 
 
 def test_prism_boundary_drops_degenerate_summands():
     # Deleting the distinguishing column leaves an equal-ends prism.
-    cell = PrismCell("a", ("u", "x"), "a", ("u", "y"))
-    reps = [rep for _, rep in cell_boundary(cell)]
-    assert PrismCell("a", ("u",), "a", ("u",)) not in reps
-    assert PrismCell("a", ("x",), "a", ("y",)) in reps
+    cell = Cell.from_maps(("a", "u", "x"), ("a", "u", "y"))
+    reps = set(cell_boundary(cell))
+    assert Cell.from_maps(("a", "u"), ("a", "u")) not in reps
+    assert Cell.from_maps(("a", "x"), ("a", "y")) in reps
+
+
+def test_boundary_sorts_columns_with_the_permutation_sign():
+    # An end map with unsorted base is its sorted twin times the sign of
+    # the sort; two facets landing on one cell add up.
+    cell = Cell.from_maps(("a", "u", "v"), ("a", "v", "u"))
+    assert cell_boundary(cell)[Cell.from_maps(("a", "u", "v"))] == -2
+    swapped = Cell.from_maps(("a", "v", "u"))
+    assert cell_boundary(swapped) == {
+        child: -coef for child, coef in cell_boundary(Cell.from_maps(("a", "u", "v"))).items()}
 
 
 # ------------------------------------------------------------ allowability
@@ -95,14 +150,14 @@ def test_prism_boundary_drops_degenerate_summands():
 
 def test_cell_allowed_desk_cases():
     ch = by_name("cone_hexagon")
-    rim = cell_allowed(ch, ConeCell("apex", ("v0", "v1")), WSequence((0,)))
+    rim = cell_allowed(ch, Cell.from_maps(("apex", "v0", "v1")), WSequence((0,)))
     assert rim.allowed and rim.perversity_ok and rim.w_ok
     assert rim.w1 == 0
-    deep_base = cell_allowed(ch, ConeCell("v1", ("apex", "v0")), WSequence((0,)))
+    deep_base = cell_allowed(ch, Cell.from_maps(("v1", "apex", "v0")), WSequence((0,)))
     assert not deep_base.allowed and not deep_base.perversity_ok
-    high_apex = cell_allowed(ch, ConeCell("v0", ("v1", "v2")), WSequence((1,)))
+    high_apex = cell_allowed(ch, Cell.from_maps(("v0", "v1", "v2")), WSequence((1,)))
     assert high_apex.allowed and high_apex.w1 == 2
-    low_apex = cell_allowed(ch, ConeCell("apex", ("v0", "v1")), WSequence((1,)))
+    low_apex = cell_allowed(ch, Cell.from_maps(("apex", "v0", "v1")), WSequence((1,)))
     assert not low_apex.allowed and low_apex.perversity_ok and not low_apex.w_ok
     assert low_apex.w1 == 0
 
@@ -113,7 +168,7 @@ def test_w_sequence_validation():
     with pytest.raises(ValidationError, match=">= 0"):
         WSequence((-1,))
     with pytest.raises(ValidationError, match="single w entry"):
-        cell_allowed(by_name("cone_hexagon"), ConeCell("apex", ("v0",)),
+        cell_allowed(by_name("cone_hexagon"), Cell.from_maps(("apex", "v0")),
                      WSequence((0, 0)))
 
 
@@ -122,8 +177,8 @@ def test_w_raises_the_apex_floor_monotonically():
     # smaller one; the rank itself is not monotone and is not asserted.
     ch = by_name("cone_hexagon")
     for i in (0, 1):
-        for kind in ("cone", "prism"):
-            cells = enumerate_cells(ch, i, kind)
+        for j in (0, 1):
+            cells = enumerate_cells(ch, i, j)
             allowed = {w1: {c for c in cells if cell_allowed(ch, c, WSequence((w1,)))}
                        for w1 in (0, 1, 2)}
             assert allowed[2] <= allowed[1] <= allowed[0]

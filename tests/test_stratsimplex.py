@@ -1,11 +1,10 @@
-"""Symbolic stratified simplices: shapes, facets, apex loci, d.d = 0."""
+"""Symbolic stratified simplices: shapes, facets, d.d = 0."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from strathom.errors import ValidationError
 from strathom.stratsimplex import (
     StratifiedShape,
-    apex_loci,
     dd_check,
     facets,
     iter_shapes,
@@ -54,14 +53,6 @@ def test_facets_interleave_factors_with_global_signs():
         (0, 0, 1, (0, 1)),
         (0, 1, -1, (0, 1)),
     ]
-
-
-def test_apex_loci():
-    assert apex_loci(StratifiedShape((2,))) == []
-    loci = apex_loci(StratifiedShape((1, 0, 2)))
-    assert [(l.index, l.dim) for l in loci] == [(2, 2), (1, 3)]
-    assert loci[0].descriptor == "simplex(2) x apex"
-    assert loci[1].descriptor == "simplex(2) x cone(simplex(0) x apex)"
 
 
 def test_iter_shapes_small():
