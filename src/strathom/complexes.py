@@ -18,6 +18,7 @@ most m-c and the test is exact integer arithmetic.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -97,12 +98,12 @@ class StratifiedComplex:
     """Finite abstract simplicial complex with stratum labels.
 
     strata maps every vertex to its label; maximal_simplices is any
-    family of vertex sets whose union is the vertex set (entries that
-    are faces of others are dropped).  The empty complex (no vertices)
-    is legal and has dimension -1.
+    family of vertex sets whose union is the vertex set (repeats, empty
+    sets and entries that are faces of others are dropped).  The empty
+    complex (no vertices) is legal and has dimension -1.
     """
 
-    __slots__ = ("vertices", "strata", "maximal", "simplices", "dim", "perversity")
+    __slots__ = ("vertices", "strata", "maximal", "simplices", "dim", "perversity", "_by_dim")
 
     def __init__(self, strata, maximal_simplices, perversity=None):
         strata = dict(strata)
@@ -119,9 +120,14 @@ class StratifiedComplex:
             raise ValidationError(
                 f"vertex set and union of maximal simplices disagree on {missing}"
             )
-        maximal = {f for f in sets if not any(f < g for g in sets)}
+        # largest first: every strictly larger set has already put its faces
+        # in `faces`, so a set is maximal exactly when it is not there yet
+        maximal = []
         faces = set()
-        for f in maximal:
+        for f in sorted(sets, key=len, reverse=True):
+            if f in faces:
+                continue
+            maximal.append(f)
             members = sorted(f)
             for size in range(1, len(members) + 1):
                 faces.update(map(frozenset, combinations(members, size)))
@@ -144,12 +150,23 @@ class StratifiedComplex:
                 f"perversity covers codimensions 2..{perversity.top_codim}, complex needs 2..{m}"
             )
         self.perversity = perversity
+        self._by_dim = None
 
     def label(self, v: str) -> int:
         return self.strata[v]
 
-    def simplices_of_dim(self, i: int) -> list[frozenset]:
-        return sorted((f for f in self.simplices if len(f) == i + 1), key=sorted)
+    def simplices_of_dim(self, i: int) -> tuple[tuple[str, ...], ...]:
+        """The i-simplices as sorted vertex tuples, in sorted order.
+
+        All degrees are bucketed in one pass on the first call and shared
+        by later ones.
+        """
+        if self._by_dim is None:
+            buckets = [[] for _ in range(self.dim + 1)]
+            for f in self.simplices:
+                buckets[len(f) - 1].append(tuple(sorted(f)))
+            self._by_dim = tuple(tuple(sorted(b)) for b in buckets)
+        return self._by_dim[i] if 0 <= i <= self.dim else ()
 
     def has_simplex(self, f) -> bool:
         return frozenset(f) in self.simplices
@@ -182,12 +199,22 @@ def allowable_simplex(k: StratifiedComplex, simplex) -> bool:
     f = frozenset(simplex)
     if not k.has_simplex(f):
         raise ValidationError(f"{sorted(f)} is not a simplex of the complex")
-    i = len(f) - 1
-    m = k.dim
-    p = k.perversity
+    depth = sorted(k.strata[v] for v in f)
+    return perversity_ok(depth, len(f) - 1, k.dim, k.perversity)
+
+
+def perversity_ok(depth, degree: int, m: int, p: Perversity, extra: int = 0) -> bool:
+    """The perversity bound on one face, given its sorted vertex labels.
+
+    With deep the number of labels <= m-c, the face of X_{m-c} has
+    dimension deep - 1 + extra, which must stay within degree - c + p(c)
+    for every codimension c in 2..m where deep > 0.
+    """
     for c in range(2, m + 1):
-        deep = sum(1 for v in f if k.strata[v] <= m - c)
-        if deep and deep - 1 > i - c + p(c):
+        deep = bisect_right(depth, m - c)
+        if not deep:
+            break
+        if deep - 1 + extra > degree - c + p(c):
             return False
     return True
 

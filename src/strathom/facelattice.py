@@ -270,8 +270,8 @@ class FlagVector:
             if not is_int(v):
                 raise ValidationError(f"flag entry {key!r} must be an integer")
             entries[subset] = v
-        expected = set(subset_order(n))
-        if set(entries) != expected:
+        # distinct subsets of 0..n-1 cover them all exactly when there are 2^n
+        if len(entries) != 1 << n:
             raise ValidationError("flag vector must cover every subset exactly once")
         return FlagVector(n, entries)
 

@@ -51,12 +51,8 @@ class BettiReport:
 
 def chain_spaces(k: StratifiedComplex) -> list[ChainSpace]:
     """Allowable simplices of every degree 0..dim."""
-    out = []
-    for i in range(k.dim + 1):
-        basis = tuple(tuple(sorted(f)) for f in k.simplices_of_dim(i)
-                      if allowable_simplex(k, f))
-        out.append(ChainSpace(i, basis))
-    return out
+    return [ChainSpace(i, tuple(f for f in k.simplices_of_dim(i) if allowable_simplex(k, f)))
+            for i in range(k.dim + 1)]
 
 
 def _degree_ranks(space, prev_space, prev_all):
@@ -86,13 +82,11 @@ def ih_ranks(k: StratifiedComplex) -> BettiReport:
     if m < 0:
         return BettiReport((), (), (), k.perversity)
     spaces = chain_spaces(k)
-    all_by_dim = [tuple(tuple(sorted(f)) for f in k.simplices_of_dim(i))
-                  for i in range(m + 1)]
     rank_nd = [0] * (m + 2)
     rank_n = [0] * (m + 2)
     for i in range(1, m + 1):
         rank_nd[i], rank_n[i] = _degree_ranks(spaces[i], spaces[i - 1],
-                                              all_by_dim[i - 1])
+                                              k.simplices_of_dim(i - 1))
     cycles = []
     boundaries = []
     ranks = []

@@ -47,13 +47,12 @@ supported on the allowed cells.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from operator import itemgetter
 
-from .complexes import StratifiedComplex
+from .complexes import StratifiedComplex, perversity_ok
 from .errors import ValidationError
 from .exactla import ColumnReduction
 from .stratsimplex import StratifiedShape, facets
@@ -164,7 +163,7 @@ class LgReport:
 
 
 def _simplex_tuples(k: StratifiedComplex):
-    return sorted((tuple(sorted(f)) for f in k.simplices), key=lambda t: (len(t), t))
+    return itertools.chain.from_iterable(map(k.simplices_of_dim, range(k.dim + 1)))
 
 
 def enumerate_cells(k: StratifiedComplex, i: int, j: int = 0) -> list:
@@ -284,10 +283,8 @@ def _perversity_ok(labels, i, j, m, p):
             depth = sorted(map(max, *[labels[cut] for cut in cuts]))
         else:
             depth = sorted(labels[cuts[0]])
-        for c in range(2, m + 1):
-            deep = bisect_right(depth, m - c)
-            if deep and deep - 1 + extra > i + j - c + p(c):
-                return False
+        if not perversity_ok(depth, i + j, m, p, extra):
+            return False
     return True
 
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from strathom import facelattice
 from strathom.cli import main
 from strathom.complexes import complex_to_json
 from strathom.corpus import by_name
@@ -152,6 +153,17 @@ def test_malformed_documents_exit_one_with_one_line(capsys, tmp_path, command, d
     code, out, err = run(capsys, argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_flag_vector_of_huge_dim_is_refused_without_listing_subsets(capsys, tmp_path, monkeypatch):
+    def refuse(n):
+        raise AssertionError("subset_order must not run while parsing")
+
+    monkeypatch.setattr(facelattice, "subset_order", refuse)
+    path = write_json(tmp_path, "huge.json", {"dim": 64, "entries": {}})
+    code, out, err = run(capsys, ["fit", "--dim", "3", "--predict", path])
+    assert code == 1 and out == ""
+    assert "every subset" in err and err.count("\n") == 1
 
 
 def test_string_dim_is_reported_as_such(capsys, tmp_path):

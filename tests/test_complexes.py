@@ -1,4 +1,6 @@
 """Stratified complexes: validation, constructions, allowability, JSON."""
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from strathom.complexes import (
     complex_to_json,
     cone,
     link,
+    perversity_ok,
     suspension,
 )
 from strathom.corpus import by_name, circle, small_members
@@ -75,6 +78,33 @@ def test_complex_normalizes_maximal_simplices():
     assert k.dim == 1
     assert k.has_simplex({"a"}) and k.has_simplex({"a", "b"})
     assert not k.has_simplex({"a", "c"})
+
+
+@st.composite
+def _families(draw):
+    """Families over five vertices: repeats, empty sets, nested faces, and
+    the same set listed again in another order."""
+    family = draw(st.lists(st.lists(st.sampled_from("abcde"), max_size=5), max_size=8))
+    if family:
+        family += [f[::-1] for f in draw(st.lists(st.sampled_from(family), max_size=4))]
+    return draw(st.permutations(family))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_families())
+def test_construction_matches_brute_force(family):
+    sets = {frozenset(f) for f in family} - {frozenset()}
+    strata = {v: 9 for f in sets for v in f}
+    k = StratifiedComplex(strata, family)
+    maximal = {f for f in sets if not any(f < g for g in sets)}
+    assert k.maximal == tuple(sorted(maximal, key=sorted))
+    closure = {frozenset(c) for f in sets for r in range(1, len(f) + 1)
+               for c in combinations(f, r)}
+    assert k.simplices == closure
+    assert k.dim == max(map(len, sets), default=0) - 1
+    for i in range(-1, k.dim + 2):
+        old = sorted((f for f in closure if len(f) == i + 1), key=sorted)
+        assert k.simplices_of_dim(i) == tuple(tuple(sorted(f)) for f in old)
 
 
 def test_complex_vertex_and_label_validation():
@@ -169,6 +199,24 @@ def test_allowability_on_the_coned_hexagon():
     assert allowable_simplex(ch, {"apex", "v0", "v1"})
     with pytest.raises(ValidationError, match="not a simplex"):
         allowable_simplex(ch, {"v0", "v3"})
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(min_value=0, max_value=6), st.data())
+def test_perversity_ok_is_the_bound_for_every_codimension(m, data):
+    labels = data.draw(st.lists(st.integers(min_value=0, max_value=m + 1), min_size=1, max_size=6))
+    degree = data.draw(st.integers(min_value=0, max_value=m))
+    extra = data.draw(st.integers(min_value=0, max_value=2))
+    values = [0] if m >= 2 else []
+    for _ in range(m - 2):
+        values.append(values[-1] + data.draw(st.integers(min_value=0, max_value=1)))
+    p = Perversity(tuple(values))
+    expected = True
+    for c in range(2, m + 1):
+        deep = sum(1 for l in labels if l <= m - c)
+        if deep and deep - 1 + extra > degree - c + p(c):
+            expected = False
+    assert perversity_ok(sorted(labels), degree, m, p, extra) == expected
 
 
 def test_with_strata_and_with_perversity():

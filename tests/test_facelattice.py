@@ -2,6 +2,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strathom import facelattice
 from strathom.errors import DomainError, ValidationError
 from strathom.facelattice import (
     FaceLattice,
@@ -146,6 +147,15 @@ def test_flag_vector_json_roundtrip_and_validation():
         FlagVector.from_json(partial)
     with pytest.raises(ValidationError, match="outside"):
         FlagVector.from_json({"dim": 1, "entries": {"": 1, "0": 2, "5": 3}})
+
+
+def test_flag_vector_size_is_checked_before_listing_subsets(monkeypatch):
+    def refuse(n):
+        raise AssertionError("subset_order must not run while parsing")
+
+    monkeypatch.setattr(facelattice, "subset_order", refuse)
+    with pytest.raises(ValidationError, match="every subset"):
+        FlagVector.from_json({"dim": 64, "entries": {}})
 
 
 @settings(deadline=None, max_examples=30)

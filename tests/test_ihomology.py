@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import naive_ih_betti, naive_ordinary_betti
-from strathom.complexes import Perversity, StratifiedComplex
+from strathom.complexes import Perversity, StratifiedComplex, barycentric_subdivision
 from strathom.corpus import CORPUS, by_name
 from strathom.ihomology import BettiReport, chain_spaces, ih_ranks
 
@@ -59,6 +59,13 @@ def test_suspended_torus_middle_pair():
     assert tuple(reversed(lower.ranks)) == upper.ranks
     assert upper.ranks == naive_ordinary_betti(_oracle_inputs(k)[1])
     assert lower.ranks != upper.ranks
+
+
+def test_twice_subdivided_suspended_torus():
+    # subdivision invariance on 16,128 facets
+    k = barycentric_subdivision(barycentric_subdivision(by_name("susp_torus7")))
+    assert len(k.maximal) == 16128 and len(k.simplices) == 70394
+    assert ih_ranks(k).ranks == (1, 2, 0, 1)
 
 
 def test_cycle_and_boundary_counts():
