@@ -31,10 +31,22 @@ from .stratsimplex import dd_check, iter_shapes
 
 __all__ = ["main"]
 
+# Largest arguments of the subcommands whose cost grows exponentially; the
+# largest allowed call of each takes under a minute (see README).
+MAX_ICCHECK_LEN = 18
+MAX_FIBRANK_DIM = 8
+MAX_FIT_DIM = 7
+MAX_SHAPES_TOTAL_DIM = 14
+
 
 def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _check_limit(option: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise ValueError(f"{option} {value} is above the limit {limit}: the work grows exponentially")
 
 
 def _cmd_word(args) -> dict:
@@ -44,6 +56,7 @@ def _cmd_word(args) -> dict:
 def _cmd_iccheck(args) -> dict:
     if args.max_len < 1:
         raise ValueError("--max-len must be at least 1")
+    _check_limit("--max-len", args.max_len, MAX_ICCHECK_LEN)
     words = 0
     all_hold = True
     for n in range(1, args.max_len + 1):
@@ -59,12 +72,14 @@ def _cmd_flag(args) -> dict:
 
 
 def _cmd_fibrank(args) -> dict:
+    _check_limit("--dim", args.dim, MAX_FIBRANK_DIM)
     rank = flag_rank(lattice for _, lattice in ic_lattices(args.dim))
     target = fibonacci(args.dim + 1)
     return {"rank": rank, "fibonacci": target, "match": rank == target}
 
 
 def _cmd_fit(args) -> dict:
+    _check_limit("--dim", args.dim, MAX_FIT_DIM)
     doc = _load_json(args.predict)
     # the query may arrive as a face lattice or directly as a flag vector
     if isinstance(doc, dict) and "faces" in doc:
@@ -101,6 +116,7 @@ def _cmd_shapes(args) -> dict:
         raise ValueError("shapes requires --dd-check")
     if args.max_total_dim < 0:
         raise ValueError(f"--max-total-dim must be >= 0, got {args.max_total_dim}")
+    _check_limit("--max-total-dim", args.max_total_dim, MAX_SHAPES_TOTAL_DIM)
     all_zero = all(dd_check(shape) for shape in iter_shapes(args.max_total_dim))
     return {"all_zero": all_zero}
 
@@ -117,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_word)
 
     p = sub.add_parser("iccheck", help="verify the IC-equation on all short words")
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=int, required=True, help=f"at most {MAX_ICCHECK_LEN}")
     p.set_defaults(handler=_cmd_iccheck)
 
     p = sub.add_parser("flag", help="flag vector of a face lattice")
@@ -125,11 +141,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_flag)
 
     p = sub.add_parser("fibrank", help="rank of the IC flag vectors in one dimension")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=int, required=True, help=f"at most {MAX_FIBRANK_DIM}")
     p.set_defaults(handler=_cmd_fibrank)
 
     p = sub.add_parser("fit", help="fit linear forms on IC data and predict a query")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=int, required=True, help=f"at most {MAX_FIT_DIM}")
     p.add_argument("--predict", required=True, help="lattice or flag vector JSON")
     p.set_defaults(handler=_cmd_fit)
 
@@ -145,7 +161,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shapes", help="boundary-of-boundary sweep over shapes")
     p.add_argument("--dd-check", action="store_true")
-    p.add_argument("--max-total-dim", type=int, required=True)
+    p.add_argument("--max-total-dim", type=int, required=True,
+                   help=f"at most {MAX_SHAPES_TOTAL_DIM}")
     p.set_defaults(handler=_cmd_shapes)
 
     return parser

@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Rank decisions in this package are never made in floating point.  Large
-sparse systems (boundary matrices) go through an integer column
-reduction; small dense systems (flag-vector fits) go through Fraction
-Gaussian elimination.
+Rank decisions in this package are never made in floating point.  Every
+rank, of a sparse boundary matrix or of a dense integer matrix, goes
+through one integer column reduction; solving the flag-vector fits goes
+through Fraction Gaussian elimination.
 """
 from __future__ import annotations
 
@@ -88,18 +88,15 @@ class ColumnReduction:
         return sum(1 for r in self._pivots if r >= first_row)
 
 
-def rref(rows: list[list[Fraction]], stop_col: int | None = None):
+def rref(rows: list[list[Fraction]], stop_col: int):
     """Reduced row echelon form in place over Fraction.
 
-    Pivots are only chosen in columns < stop_col (all columns when None),
-    which makes augmented-system elimination straightforward.  Returns
-    the list of pivot column indices.
+    Pivots are only chosen in columns < stop_col, which makes
+    augmented-system elimination straightforward.  Returns the list of
+    pivot column indices.
     """
     if not rows:
         return []
-    ncols = len(rows[0])
-    if stop_col is None:
-        stop_col = ncols
     pivots: list[int] = []
     r = 0
     for c in range(stop_col):
@@ -121,9 +118,15 @@ def rref(rows: list[list[Fraction]], stop_col: int | None = None):
 
 
 def dense_rank(rows) -> int:
-    """Rank of a dense matrix given as rows of ints/Fractions."""
-    work = [[Fraction(v) for v in row] for row in rows]
-    return len(rref(work))
+    """Rank of a dense integer matrix given as rows.
+
+    Each row is fed to ColumnReduction as one sparse column: the rank of
+    the transpose is the same.
+    """
+    reduction = ColumnReduction()
+    for row in rows:
+        reduction.add_column(dict(enumerate(row)))
+    return reduction.rank
 
 
 def solve_right(a_rows, b_rows):

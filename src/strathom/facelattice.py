@@ -12,7 +12,9 @@ empty chain contributing the entry 1 at the empty set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
+from operator import or_
 
 from .errors import DomainError, ValidationError, is_int
 from .exactla import dense_rank
@@ -284,40 +286,57 @@ def subset_order(n: int) -> list[frozenset]:
 
 
 def flag_vector(lattice: FaceLattice) -> FlagVector:
-    """Count chains of proper faces for every dimension subset."""
+    """Count chains of proper faces for every dimension subset.
+
+    Subsets are walked depth first.  A subset ending in dimension d
+    carries its chain counts per face of dimension d; a child adding a
+    larger dimension e sums them over the faces below each face of
+    dimension e, so every entry costs one step from its parent's.
+    """
     n = lattice.dim
-    nfaces = len(lattice.ids)
-    by_dim = {d: [] for d in range(n)}
+    # levels[d] = the proper faces of dimension d, given consecutive bits
+    levels = [[] for _ in range(n)]
     for k, d in enumerate(lattice.dims):
         if 0 <= d < n:
-            by_dim[d].append(k)
-    level_mask = {d: sum(1 << k for k in faces) for d, faces in by_dim.items()}
-    # below[k] = bitmask of all faces strictly below face k.
-    below = [0] * nfaces
-    for k in sorted(range(nfaces), key=lambda k: lattice.dims[k]):
-        m = 0
-        for j in lattice._down[k]:
-            m |= below[j] | (1 << j)
-        below[k] = m
+            levels[d].append(k)
+    offset = [0] * n
+    bit = {}
+    for d, level in enumerate(levels):
+        offset[d] = len(bit)
+        for k in level:
+            bit[k] = 1 << len(bit)
+    # below[k] = bitmask of the proper faces strictly below face k
+    below = {}
+    for level in levels:
+        for k in level:
+            below[k] = reduce(or_, [below[j] | bit[j] for j in lattice._down[k] if j in bit], 0)
+    # inc[a, b][q] = positions in levels[a] of the faces below levels[b][q];
+    # level -1 is the empty face, below every face
+    inc = {}
+    for b, level in enumerate(levels):
+        inc[-1, b] = [(0,)] * len(level)
+        for a in range(b):
+            width = (1 << len(levels[a])) - 1
+            rows = []
+            for k in level:
+                m = below[k] >> offset[a] & width
+                ps = []
+                while m:
+                    low = m & -m
+                    ps.append(low.bit_length() - 1)
+                    m ^= low
+                rows.append(ps)
+            inc[a, b] = rows
     entries = {frozenset(): 1}
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            vec = [0] * nfaces
-            for k in by_dim[subset[0]]:
-                vec[k] = 1
-            for prev, d in zip(subset, subset[1:]):
-                nxt = [0] * nfaces
-                pmask = level_mask[prev]
-                for g in by_dim[d]:
-                    m = below[g] & pmask
-                    total = 0
-                    while m:
-                        low = m & -m
-                        total += vec[low.bit_length() - 1]
-                        m ^= low
-                    nxt[g] = total
-                vec = nxt
-            entries[frozenset(subset)] = sum(vec[k] for k in by_dim[subset[-1]])
+
+    def extend(prefix, last, vec):
+        for d in range(last + 1, n):
+            nxt = [sum(map(vec.__getitem__, ps)) for ps in inc[last, d]]
+            subset = prefix | {d}
+            entries[subset] = sum(nxt)
+            extend(subset, d, nxt)
+
+    extend(frozenset(), -1, [1])
     return FlagVector(n, entries)
 
 

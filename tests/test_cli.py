@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from strathom import facelattice
+from strathom import cli, facelattice
 from strathom.cli import main
 from strathom.complexes import complex_to_json
 from strathom.corpus import by_name
@@ -107,6 +107,25 @@ def test_validation_failures_exit_one_with_message(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["iccheck", "--max-len", "19"], "ic_words"),
+    (["fibrank", "--dim", "9"], "ic_lattices"),
+    (["fit", "--dim", "8", "--predict", "QUERY"], "ic_training_data"),
+    (["shapes", "--dd-check", "--max-total-dim", "15"], "iter_shapes"),
+])
+def test_exponential_subcommands_refuse_arguments_above_their_limit(
+        capsys, monkeypatch, tmp_path, argv, work):
+    def refuse(*args):
+        raise AssertionError("no work may start above the limit")
+
+    monkeypatch.setattr(cli, work, refuse)
+    query = write_json(tmp_path, "q.json", {"dim": 8, "entries": {}})
+    code, out, err = run(capsys, [query if a == "QUERY" else a for a in argv])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "above the limit" in err
+    assert err.count("\n") == 1
 
 
 EDGE = {"dim": 1, "vertices": ["a", "b"], "strata": {"a": 1, "b": 1},

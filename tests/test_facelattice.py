@@ -1,4 +1,7 @@
 """Lattice construction, flag vectors, duality, serialization."""
+from itertools import combinations
+from math import comb, prod
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +27,45 @@ OCTA_FACETS = [
     ("a", "b", "c"), ("a", "b", "f"), ("a", "c", "e"), ("a", "e", "f"),
     ("b", "c", "d"), ("b", "d", "f"), ("c", "d", "e"), ("d", "e", "f"),
 ]
+PENTAGON_FACETS = [("p1", "p2"), ("p2", "p3"), ("p3", "p4"), ("p4", "p5"), ("p5", "p1")]
+
+
+def cyclic_facets(n, d):
+    """Facets of the cyclic polytope C(n, d) by Gale's evenness condition."""
+    out = []
+    for facet in combinations(range(n), d):
+        gaps = [v for v in range(n) if v not in facet]
+        if all(sum(1 for x in facet if i < x < j) % 2 == 0 for i, j in combinations(gaps, 2)):
+            out.append(tuple(f"v{x}" for x in facet))
+    return out
+
+
+def chain_counts(lattice):
+    """Flag vector by listing every chain of proper faces: the strict order
+    is the transitive closure of the cover relation."""
+    n = lattice.dim
+    dim = dict(zip(lattice.ids, lattice.dims))
+    above = {i: set() for i in lattice.ids}
+    for lo, hi in lattice.cover_pairs():
+        above[lo].add(hi)
+    for i in sorted(lattice.ids, key=dim.get, reverse=True):
+        for j in list(above[i]):
+            above[i] |= above[j]
+    counts = {frozenset(s): 0 for k in range(n + 1) for s in combinations(range(n), k)}
+
+    def grow(dims, top):
+        counts[frozenset(dims)] += 1
+        for face in above[top]:
+            if dim[face] < n:
+                grow(dims + (dim[face],), face)
+
+    grow((), next(i for i in lattice.ids if dim[i] == -1))
+    return counts
+
+
+def reversed_entries(fv):
+    """The entries of fv with every subset S replaced by {n-1-s : s in S}."""
+    return {frozenset(fv.dim - 1 - s for s in subset): v for subset, v in fv.entries.items()}
 
 
 def test_parse_word_accepts_ic_only():
@@ -177,3 +219,72 @@ def test_flag_entries_grow_under_refinement(word):
         for j in range(n):
             if j not in s:
                 assert fv.entry(s | {j}) >= fv.entry(s)
+
+
+FIXED_LATTICES = {
+    "octahedron": lambda: from_simplicial_facets(OCTA_FACETS),
+    "pentagon": lambda: from_simplicial_facets(PENTAGON_FACETS),
+    "C(7,4)": lambda: from_simplicial_facets(cyclic_facets(7, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_LATTICES))
+def test_flag_vector_counts_every_chain(name):
+    lattice = FIXED_LATTICES[name]()
+    assert flag_vector(lattice).entries == chain_counts(lattice)
+    assert flag_vector(dual(lattice)).entries == chain_counts(dual(lattice))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.text(alphabet="IC", min_size=1, max_size=5))
+def test_flag_vector_counts_every_chain_of_ic_polytopes(word):
+    lattice = from_word(word)
+    assert flag_vector(lattice).entries == chain_counts(lattice)
+    assert flag_vector(dual(lattice)).entries == chain_counts(dual(lattice))
+
+
+def test_flag_vector_of_cube7_is_the_closed_form():
+    n = 7
+    fv = flag_vector(from_word("I" * n))
+    for subset, value in fv.entries.items():
+        s = sorted(subset)
+        want = 1
+        if s:
+            want = comb(n, s[-1]) * 2 ** (n - s[-1]) * prod(
+                comb(b, a) * 2 ** (b - a) for a, b in zip(s, s[1:]))
+        assert value == want, s
+    assert len(fv.entries) == 2 ** n
+
+
+def test_flag_vector_of_cyclic_12_8_is_the_closed_form():
+    facets = cyclic_facets(12, 8)
+    fv = flag_vector(from_simplicial_facets(facets))
+    f = [len({face for facet in facets for face in combinations(facet, k + 1)})
+         for k in range(8)]
+    for subset, value in fv.entries.items():
+        s = sorted(subset)
+        want = 1
+        if s:
+            want = f[s[-1]] * prod(comb(b + 1, a + 1) for a, b in zip(s, s[1:]))
+        assert value == want, s
+    assert len(fv.entries) == 2 ** 8
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_LATTICES))
+def test_dual_flag_vector_reverses_the_dimensions(name):
+    lattice = FIXED_LATTICES[name]()
+    assert flag_vector(dual(lattice)).entries == reversed_entries(flag_vector(lattice))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.text(alphabet="IC", min_size=1, max_size=6))
+def test_dual_flag_vector_reverses_the_dimensions_of_ic_polytopes(word):
+    lattice = from_word(word)
+    assert flag_vector(dual(lattice)).entries == reversed_entries(flag_vector(lattice))
+
+
+def test_flag_vector_of_point_and_segment():
+    fv = flag_vector(point())
+    assert fv.dim == 0 and fv.entries == {frozenset(): 1}
+    fv = flag_vector(from_word("I"))
+    assert fv.dim == 1 and fv.entries == {frozenset(): 1, frozenset({0}): 2}

@@ -1,10 +1,19 @@
 """Rules I and C, the consistency identity, and the rational flag fit."""
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import simplicial_h_vector
+from oracles import nullspace, row_reduce, simplicial_h_vector
 from strathom.errors import DomainError
-from strathom.facelattice import FlagVector, flag_vector, from_simplicial_facets, from_word
+from strathom.facelattice import (
+    FlagVector,
+    flag_vector,
+    from_simplicial_facets,
+    from_word,
+    subset_order,
+)
 from strathom.hcalc import (
     eval_word,
     fit,
@@ -21,6 +30,12 @@ OCTA_FACETS = [
 ]
 PENTAGON_FACETS = [("p1", "p2"), ("p2", "p3"), ("p3", "p4"), ("p4", "p5"), ("p5", "p1")]
 SQUARE_FACETS = [("q1", "q2"), ("q2", "q3"), ("q3", "q4"), ("q4", "q1")]
+# C(7,4) by Gale's evenness condition
+CYCLIC_7_4_FACETS = [
+    tuple(f"v{x}" for x in f) for f in combinations(range(7), 4)
+    if all(sum(1 for x in f if i < x < j) % 2 == 0
+           for i, j in combinations([v for v in range(7) if v not in f], 2))
+]
 
 
 def test_rule_I_convolves():
@@ -115,6 +130,40 @@ def test_fit_rejects_bad_training_and_queries():
     training = ic_training_data(3)
     with pytest.raises(DomainError, match="dimension"):
         fit_and_predict(training, flag_vector(from_word("II")))
+
+
+def span_weights(flags, query):
+    """Some c with sum_j c_j flags[j] = query, by the oracle's elimination."""
+    m = len(flags)
+    rank, red = row_reduce([[row[i] for row in flags] + [q] for i, q in enumerate(query)])
+    weights = [Fraction(0)] * m
+    for row in red[:rank]:
+        pivot = next(j for j, v in enumerate(row) if v != 0)
+        assert pivot < m, "query is outside the span"
+        weights[pivot] = row[m]
+    return weights
+
+
+@pytest.mark.parametrize("n, query", [
+    (3, lambda: from_simplicial_facets(OCTA_FACETS)),
+    (3, lambda: from_word("III")),
+    (4, lambda: from_simplicial_facets(CYCLIC_7_4_FACETS)),
+])
+def test_prediction_is_the_span_combination_of_training_h_vectors(n, query):
+    training = ic_training_data(n)
+    order = subset_order(n)
+    flags = [flag.as_row(order) for flag, _ in training]
+    hs = [h for _, h in training]
+    q = flag_vector(query())
+    weights = span_weights(flags, q.as_row(order))
+    want = tuple(sum(w * h[k] for w, h in zip(weights, hs)) for k in range(n + 1))
+    assert fit_and_predict(training, q) == want
+    # every relation among the training flag vectors holds among their
+    # h-vectors, so the combination does not depend on the weights chosen
+    relations = nullspace([[row[i] for row in flags] for i in range(len(order))], len(flags))
+    assert relations
+    for rel in relations:
+        assert all(sum(r * h[k] for r, h in zip(rel, hs)) == 0 for k in range(n + 1))
 
 
 def test_prediction_undetermined_off_the_span():
