@@ -6,23 +6,17 @@ homology (trivial filtration) does the opposite; the upper middle agrees
 with ordinary here and is the rank reversal of the lower one.
 """
 import argparse
-from dataclasses import dataclass
 
 from strathom.complexes import Perversity
 from strathom.corpus import by_name
 from strathom.ihomology import ih_ranks
 
 
-@dataclass(frozen=True)
-class Config:
-    show_chains: bool = False
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--show-chains", action="store_true",
                         help="also print cycle and boundary counts")
-    cfg = Config(show_chains=parser.parse_args().show_chains)
+    args = parser.parse_args()
 
     k = by_name("susp_torus7")
     lower = ih_ranks(k)
@@ -37,7 +31,7 @@ def main() -> None:
     reversed_lower = tuple(reversed(lower.ranks))
     print(f"rank reversal of lower middle: {reversed_lower} "
           f"{'=' if reversed_lower == upper.ranks else '!='} upper middle")
-    if cfg.show_chains:
+    if args.show_chains:
         print(f"lower middle cycles {lower.cycles} boundaries {lower.boundaries}")
         print(f"ordinary     cycles {ordinary.cycles} boundaries {ordinary.boundaries}")
 

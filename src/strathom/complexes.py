@@ -10,6 +10,8 @@ vertices of the open top stratum; values above m are tolerated so that
 a base complex can already carry the labels its cone or suspension
 will need.
 
+A simplex is always the tuple of its vertex names in sorted order.
+
 Allowability is stated in real codimension c: an i-simplex F passes
 when dim(F cap X_{m-c}) <= i - c + p(c) for every c in {2, ..., m}.
 Strata closures are full subcomplexes here by construction, so the
@@ -98,9 +100,13 @@ class StratifiedComplex:
     """Finite abstract simplicial complex with stratum labels.
 
     strata maps every vertex to its label; maximal_simplices is any
-    family of vertex sets whose union is the vertex set (repeats, empty
-    sets and entries that are faces of others are dropped).  The empty
-    complex (no vertices) is legal and has dimension -1.
+    family of vertex collections whose union is the vertex set (repeats,
+    empty sets and entries that are faces of others are dropped).  The
+    empty complex (no vertices) is legal and has dimension -1.
+
+    Every simplex is held as the tuple of its vertex names in sorted
+    order: `maximal` and `simplices` hold such tuples, and the buckets of
+    `simplices_of_dim` share the tuple objects of `simplices`.
     """
 
     __slots__ = ("vertices", "strata", "maximal", "simplices", "dim", "perversity", "_by_dim")
@@ -112,36 +118,40 @@ class StratifiedComplex:
                 raise ValidationError(f"vertex names must be strings, got {v!r}")
             if not is_int(s) or s < 0:
                 raise ValidationError(f"stratum label of {v!r} must be an integer >= 0")
-        sets = {frozenset(f) for f in maximal_simplices}
-        sets.discard(frozenset())
-        covered = set().union(*sets) if sets else set()
+        try:
+            facets = [set(f) for f in maximal_simplices]
+        except TypeError as exc:
+            raise ValidationError("maximal simplices must be collections of vertex names") from exc
+        # checked before any sort, so a member that is no vertex name cannot reach one
+        covered = set().union(*facets)
         if covered != set(strata):
-            missing = sorted(set(strata) - covered) + sorted(covered - set(strata))
+            missing = sorted(set(strata) - covered) + sorted(covered - set(strata), key=str)
             raise ValidationError(
                 f"vertex set and union of maximal simplices disagree on {missing}"
             )
-        # largest first: every strictly larger set has already put its faces
-        # in `faces`, so a set is maximal exactly when it is not there yet
+        facets = {tuple(sorted(f)) for f in facets if f}
+        # largest first: every strictly larger facet has already put its
+        # faces in `faces`, so a facet is maximal exactly when it is not there yet
         maximal = []
         faces = set()
-        for f in sorted(sets, key=len, reverse=True):
+        for f in sorted(facets, key=len, reverse=True):
             if f in faces:
                 continue
             maximal.append(f)
-            members = sorted(f)
-            for size in range(1, len(members) + 1):
-                faces.update(map(frozenset, combinations(members, size)))
+            faces.add(f)
+            for size in range(1, len(f)):
+                faces.update(combinations(f, size))
         self.vertices = tuple(sorted(strata))
         self.strata = strata
-        self.maximal = tuple(sorted(maximal, key=sorted))
+        self.maximal = tuple(sorted(maximal))
         self.simplices = frozenset(faces)
-        self.dim = max((len(f) for f in maximal), default=0) - 1
+        self.dim = max(map(len, maximal), default=0) - 1
         m = self.dim
         for f in faces:
             top = max(strata[v] for v in f)
             if top < m and len(f) - 1 > top:
                 raise ValidationError(
-                    f"simplex {sorted(f)} lies in X_{top} but has dimension {len(f) - 1}"
+                    f"simplex {list(f)} lies in X_{top} but has dimension {len(f) - 1}"
                 )
         if perversity is None:
             perversity = Perversity.middle(m)
@@ -164,12 +174,14 @@ class StratifiedComplex:
         if self._by_dim is None:
             buckets = [[] for _ in range(self.dim + 1)]
             for f in self.simplices:
-                buckets[len(f) - 1].append(tuple(sorted(f)))
+                buckets[len(f) - 1].append(f)
             self._by_dim = tuple(tuple(sorted(b)) for b in buckets)
         return self._by_dim[i] if 0 <= i <= self.dim else ()
 
     def has_simplex(self, f) -> bool:
-        return frozenset(f) in self.simplices
+        """Whether the vertices of f, in any order and with repeats, span a simplex."""
+        f = set(f)
+        return f <= self.strata.keys() and tuple(sorted(f)) in self.simplices
 
     def euler_characteristic(self) -> int:
         return sum(-1 if len(f) % 2 == 0 else 1 for f in self.simplices)
@@ -196,7 +208,7 @@ def allowable_simplex(k: StratifiedComplex, simplex) -> bool:
     with label <= m-c must have dimension <= i - c + p(c); an empty
     intersection passes.
     """
-    f = frozenset(simplex)
+    f = set(simplex)
     if not k.has_simplex(f):
         raise ValidationError(f"{sorted(f)} is not a simplex of the complex")
     depth = sorted(k.strata[v] for v in f)
@@ -238,7 +250,7 @@ def cone(k: StratifiedComplex, apex_label: int = 0, apex_name: str = "apex") -> 
     (name,) = _fresh_names(k.vertices, [apex_name])
     strata = dict(k.strata)
     strata[name] = apex_label
-    maximal = [set(f) | {name} for f in k.maximal] or [{name}]
+    maximal = [f + (name,) for f in k.maximal] or [(name,)]
     return StratifiedComplex(strata, maximal, k.perversity.resized(k.dim + 1))
 
 
@@ -247,8 +259,8 @@ def suspension(k: StratifiedComplex, apex_labels=(0, 0)) -> StratifiedComplex:
     north, south = _fresh_names(k.vertices, ["north", "south"])
     strata = dict(k.strata)
     strata[north], strata[south] = apex_labels
-    maximal = [set(f) | {north} for f in k.maximal] + [set(f) | {south} for f in k.maximal]
-    maximal = maximal or [{north}, {south}]
+    maximal = [f + (apex,) for apex in (north, south) for f in k.maximal]
+    maximal = maximal or [(north,), (south,)]
     return StratifiedComplex(strata, maximal, k.perversity.resized(k.dim + 1))
 
 
@@ -256,9 +268,8 @@ def link(k: StratifiedComplex, v: str) -> StratifiedComplex:
     """Simplices F with v not in F and F + v in the complex, labels kept."""
     if v not in k.strata:
         raise ValidationError(f"unknown vertex {v!r}")
-    candidates = [set(f) - {v} for f in k.maximal if v in f]
-    candidates = [f for f in candidates if f]
-    verts = set().union(*candidates) if candidates else set()
+    candidates = [[u for u in f if u != v] for f in k.maximal if v in f and len(f) > 1]
+    verts = set().union(*candidates)
     strata = {u: k.strata[u] for u in verts}
     new_dim = max((len(f) for f in candidates), default=0) - 1
     return StratifiedComplex(strata, candidates, k.perversity.resized(new_dim))
@@ -272,15 +283,10 @@ def barycentric_subdivision(k: StratifiedComplex) -> StratifiedComplex:
     stratum of its highest-labeled vertex because strata closures are
     full.  Maximal simplices are the flags inside old maximal ones.
     """
-    def bname(f):
-        return "|".join(sorted(f))
-
-    strata = {bname(f): max(k.strata[v] for v in f) for f in k.simplices}
-    maximal = []
-    for f in k.maximal:
-        for order in permutations(sorted(f)):
-            chain = [frozenset(order[:j + 1]) for j in range(len(order))]
-            maximal.append({bname(c) for c in chain})
+    name = {f: "|".join(f) for f in k.simplices}
+    strata = {name[f]: max(k.strata[v] for v in f) for f in k.simplices}
+    maximal = [[name[tuple(sorted(order[:j]))] for j in range(1, len(order) + 1)]
+               for f in k.maximal for order in permutations(f)]
     return StratifiedComplex(strata, maximal, k.perversity)
 
 
@@ -292,7 +298,7 @@ def complex_to_json(k: StratifiedComplex) -> dict:
         "dim": k.dim,
         "vertices": list(k.vertices),
         "strata": {v: k.strata[v] for v in k.vertices},
-        "maximal_simplices": [sorted(f) for f in k.maximal],
+        "maximal_simplices": [list(f) for f in k.maximal],
         "perversity": k.perversity.to_json(),
     }
 
@@ -320,7 +326,7 @@ def complex_from_json(doc) -> StratifiedComplex:
         raise ValidationError("'maximal_simplices' must be a list of lists of vertex names")
     m_guess = max((len(f) for f in maximal), default=0) - 1
     perversity = Perversity.from_json(doc.get("perversity", "middle"), m_guess)
-    k = StratifiedComplex(strata, map(set, maximal), perversity)
+    k = StratifiedComplex(strata, maximal, perversity)
     if k.dim != doc["dim"]:
         raise ValidationError(
             f"declared dim {doc['dim']} does not match computed dimension {k.dim}"

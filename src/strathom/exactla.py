@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
 Rank decisions in this package are never made in floating point.  Every
-rank, of a sparse boundary matrix or of a dense integer matrix, goes
-through one integer column reduction; solving the flag-vector fits goes
-through Fraction Gaussian elimination.
+rank, of a sparse boundary matrix or of a dense integer matrix, and the
+span test of a flag-vector prediction, goes through one integer column
+reduction; solving the flag-vector fit alone goes through Fraction
+Gaussian elimination.
 """
 from __future__ import annotations
 
@@ -75,10 +76,6 @@ class ColumnReduction:
             if grew:
                 col = _normalized(col)
         return None
-
-    def add_columns(self, cols) -> None:
-        for col in cols:
-            self.add_column(col)
 
     @property
     def rank(self) -> int:

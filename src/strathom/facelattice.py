@@ -96,9 +96,6 @@ class FaceLattice:
         self._up = tuple(tuple(sorted(u)) for u in up)
         self._down = tuple(tuple(sorted(d)) for d in down)
 
-    def face_dim(self, face_id: str) -> int:
-        return self.dims[self._index[face_id]]
-
     def face_counts(self) -> tuple[int, ...]:
         """Number of proper faces in each dimension 0..n-1 (the f-vector)."""
         out = [0] * self.dim
@@ -341,15 +338,18 @@ def flag_vector(lattice: FaceLattice) -> FlagVector:
 
 
 def flag_rank(lattices) -> int:
-    """Rank over the rationals of the flag vectors of the given lattices."""
-    lattices = list(lattices)
-    if not lattices:
+    """Rank over the rationals of the flag vectors of the given lattices,
+    read one at a time."""
+    rows = []
+    for lattice in lattices:
+        if not rows:
+            n = lattice.dim
+            order = subset_order(n)
+        elif lattice.dim != n:
+            raise DomainError(f"flag_rank needs equal dimensions, got {sorted({n, lattice.dim})}")
+        rows.append(flag_vector(lattice).as_row(order))
+    if not rows:
         raise DomainError("flag_rank needs at least one lattice")
-    dims = {l.dim for l in lattices}
-    if len(dims) != 1:
-        raise DomainError(f"flag_rank needs equal dimensions, got {sorted(dims)}")
-    order = subset_order(dims.pop())
-    rows = [flag_vector(l).as_row(order) for l in lattices]
     return dense_rank(rows)
 
 
@@ -361,8 +361,8 @@ def ic_words(n: int) -> list[str]:
 
 
 def ic_lattices(n: int):
-    """All words of length n over {I, C} with their lattices, sorted."""
-    return [(word, from_word(word)) for word in ic_words(n)]
+    """All words of length n over {I, C} with their lattices, sorted, built one at a time."""
+    return ((word, from_word(word)) for word in ic_words(n))
 
 
 def fibonacci(n: int) -> int:

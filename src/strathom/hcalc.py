@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .exactla import solve_right
+from .exactla import ColumnReduction, solve_right
 from .facelattice import (
     FlagVector,
     dual,
@@ -153,15 +153,19 @@ def fit_and_predict(training, query: FlagVector):
 
     The prediction is only defined when query lies in the rational span
     of the training flag vectors, query = sum c_j flag_j; then every
-    choice of forms gives sum c_j h_j, by linearity.
+    choice of forms gives sum c_j h_j, by linearity.  The query lies in
+    that span exactly when its row claims no new pivot after the
+    training rows.
     """
+    training = list(training)
     linear_fit = fit(training)
-    n, flags, _ = _training_matrices(training)
+    n = linear_fit.dim
     if query.dim != n:
         raise DomainError(f"query has dimension {query.dim}, training has dimension {n}")
-    qrow = query.as_row()
-    transpose = [[row[j] for row in flags] for j in range(len(qrow))]
-    if solve_right(transpose, [[v] for v in qrow]) is None:
+    span = ColumnReduction()
+    for flag, _ in training:
+        span.add_column(dict(enumerate(flag.as_row())))
+    if span.add_column(dict(enumerate(query.as_row()))) is not None:
         raise DomainError("prediction not determined")
     return linear_fit.predict(query)
 

@@ -104,9 +104,6 @@ class Cell:
     def degenerate(self) -> bool:
         return not _canonical(self.j, self.images)[0]
 
-    def span(self) -> frozenset:
-        return frozenset(self.images)
-
     def __str__(self):
         return "(" + " -> ".join(f"{f[0]}; {','.join(f[1:])}" for f in self.maps()) + ")"
 

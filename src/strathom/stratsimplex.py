@@ -42,14 +42,6 @@ class StratifiedShape:
         return "(" + ",".join(map(str, self.dims)) + ")"
 
 
-def parse_shape(text: str) -> StratifiedShape:
-    try:
-        dims = tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise ValidationError(f"shape {text!r} is not a comma list of integers") from exc
-    return StratifiedShape(dims)
-
-
 @dataclass(frozen=True)
 class FacetRef:
     """One signed boundary facet: delete coordinate l of factor j."""

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exact JSON bytes, exit codes, determinism."""
 import json
+from itertools import combinations
 
 import pytest
 
@@ -64,6 +65,14 @@ def test_fit_accepts_lattice_or_flag_vector(capsys, tmp_path):
     flag_path = write_json(tmp_path, "octa_flag.json", flag_vector(lattice).to_json())
     code, out, _ = run(capsys, ["fit", "--dim", "3", "--predict", flag_path])
     assert code == 0 and out == '{"h": [1, 3, 3, 1]}\n'
+
+
+def test_fit_refuses_a_query_off_the_training_span(capsys, tmp_path):
+    ones = {",".join(map(str, s)): 1 for r in range(4) for s in combinations(range(3), r)}
+    path = write_json(tmp_path, "ones.json", {"dim": 3, "entries": ones})
+    code, out, err = run(capsys, ["fit", "--dim", "3", "--predict", path])
+    assert code == 1 and out == ""
+    assert err == "error: prediction not determined\n"
 
 
 def test_ih(capsys, tmp_path):

@@ -74,10 +74,29 @@ def test_perversity_json():
 
 def test_complex_normalizes_maximal_simplices():
     k = StratifiedComplex({"a": 1, "b": 1}, [{"a", "b"}, {"a"}])
-    assert k.maximal == (frozenset({"a", "b"}),)
+    assert k.maximal == (("a", "b"),)
     assert k.dim == 1
     assert k.has_simplex({"a"}) and k.has_simplex({"a", "b"})
     assert not k.has_simplex({"a", "c"})
+
+
+def test_has_simplex_reads_any_order_and_repeats():
+    k = StratifiedComplex({"a": 1, "b": 1, "c": 1}, [["b", "a", "a"], ["c"]])
+    assert k.maximal == (("a", "b"), ("c",))
+    assert k.has_simplex(["b", "a", "a"]) and k.has_simplex(("b", "a"))
+    assert not k.has_simplex(["c", "a", "a"])
+    assert not k.has_simplex(["a", 1])
+
+
+@pytest.mark.parametrize("facets", [
+    [["a", 1, "b"]],
+    [["a", ["b"]]],
+    [["a", "b"], [None, 2]],
+    [["a", "b"], 5],
+])
+def test_facet_members_must_be_vertex_names(facets):
+    with pytest.raises(ValidationError):
+        StratifiedComplex({"a": 1, "b": 1}, facets)
 
 
 @st.composite
@@ -97,14 +116,17 @@ def test_construction_matches_brute_force(family):
     strata = {v: 9 for f in sets for v in f}
     k = StratifiedComplex(strata, family)
     maximal = {f for f in sets if not any(f < g for g in sets)}
-    assert k.maximal == tuple(sorted(maximal, key=sorted))
-    closure = {frozenset(c) for f in sets for r in range(1, len(f) + 1)
-               for c in combinations(f, r)}
+    assert k.maximal == tuple(sorted(tuple(sorted(f)) for f in maximal))
+    closure = {c for f in sets for r in range(1, len(f) + 1)
+               for c in combinations(sorted(f), r)}
     assert k.simplices == closure
     assert k.dim == max(map(len, sets), default=0) - 1
     for i in range(-1, k.dim + 2):
-        old = sorted((f for f in closure if len(f) == i + 1), key=sorted)
-        assert k.simplices_of_dim(i) == tuple(tuple(sorted(f)) for f in old)
+        assert k.simplices_of_dim(i) == tuple(sorted(f for f in closure if len(f) == i + 1))
+    # one tuple object per simplex, shared by `maximal` and the buckets
+    stored = {f: f for f in k.simplices}
+    assert all(stored[f] is f for f in k.maximal)
+    assert all(stored[f] is f for i in range(k.dim + 1) for f in k.simplices_of_dim(i))
 
 
 def test_complex_vertex_and_label_validation():
@@ -199,6 +221,15 @@ def test_allowability_on_the_coned_hexagon():
     assert allowable_simplex(ch, {"apex", "v0", "v1"})
     with pytest.raises(ValidationError, match="not a simplex"):
         allowable_simplex(ch, {"v0", "v3"})
+
+
+def test_allowable_simplex_reads_any_order_and_repeats():
+    ch = by_name("cone_hexagon")
+    assert allowable_simplex(ch, ["v1", "v0", "v0"])
+    assert not allowable_simplex(ch, ["v0", "apex", "apex"])
+    assert allowable_simplex(ch, ["v1", "apex", "v0", "v1"])
+    with pytest.raises(ValidationError, match="not a simplex"):
+        allowable_simplex(ch, ["v3", "v0", "v0"])
 
 
 @settings(deadline=None, max_examples=200)

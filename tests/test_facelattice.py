@@ -156,7 +156,7 @@ def test_flag_rank_rejects_mixed_or_empty_input():
 
 
 def test_ic_lattices_sorted_and_sized():
-    pairs = ic_lattices(3)
+    pairs = list(ic_lattices(3))
     assert [w for w, _ in pairs] == sorted(w for w, _ in pairs)
     assert len(pairs) == 8
     assert all(l.dim == 3 for _, l in pairs)

@@ -174,6 +174,9 @@ def test_prediction_undetermined_off_the_span():
     bumped[frozenset({0})] += 1
     with pytest.raises(DomainError, match="not determined"):
         fit_and_predict(ic_training_data(3), FlagVector(3, bumped))
+    ones = FlagVector(3, {subset: 1 for subset in subset_order(3)})
+    with pytest.raises(DomainError, match="prediction not determined"):
+        fit_and_predict(ic_training_data(3), ones)
 
 
 @settings(deadline=None, max_examples=40)

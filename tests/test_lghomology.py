@@ -58,11 +58,6 @@ def test_cell_shape_and_maps():
     assert str(Cell.from_maps(("a", "u", "v"))) == "(a; u,v)"
 
 
-def test_cell_spans():
-    assert Cell.from_maps(("a", "u", "v")).span() == frozenset({"a", "u", "v"})
-    assert Cell.from_maps(("a", "u"), ("b", "v")).span() == frozenset({"a", "b", "u", "v"})
-
-
 def test_enumerate_cells_on_an_edge():
     edge = _single_edge()
     cones = enumerate_cells(edge, 0, 0)

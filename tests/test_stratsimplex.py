@@ -8,7 +8,6 @@ from strathom.stratsimplex import (
     dd_check,
     facets,
     iter_shapes,
-    parse_shape,
 )
 
 
@@ -24,13 +23,6 @@ def test_shape_validation():
         StratifiedShape(())
     with pytest.raises(ValidationError, match=">= 0"):
         StratifiedShape((1, -1))
-
-
-def test_parse_shape():
-    assert parse_shape("2,0,1").dims == (2, 0, 1)
-    assert parse_shape("3").dims == (3,)
-    with pytest.raises(ValidationError, match="comma list"):
-        parse_shape("2,x")
 
 
 def test_facets_of_plain_simplex():
