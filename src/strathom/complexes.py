@@ -150,6 +150,11 @@ class StratifiedComplex:
         for f in faces:
             top = max(strata[v] for v in f)
             if top < m and len(f) - 1 > top:
+                # name the least offender, whatever order the set yields them in
+                f, top = min(
+                    (g, t) for g in faces
+                    if (t := max(strata[v] for v in g)) < m and len(g) - 1 > t
+                )
                 raise ValidationError(
                     f"simplex {list(f)} lies in X_{top} but has dimension {len(f) - 1}"
                 )

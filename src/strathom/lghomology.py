@@ -42,6 +42,16 @@ boundary contributor is a formal sum of allowed (i+1,0) and (i,1) cells
 whose stray terms, (i-1,1) facets and non-allowed (i,0) summands alike, are
 required to cancel; whatever remains is then automatically a cycle
 supported on the allowed cells.
+
+Cells are enumerated from local templates.  The template set (i, j, s)
+lists the canonical non-degenerate cells of shape (i, j) whose images span
+exactly the local simplex 0..s-1, with their boundaries in local indices.
+A simplex is the tuple of its vertex names in sorted order, so local order
+is name order: writing simplex[q] for q renames a template into a cell of
+that simplex with its columns still sorted, its boundary signs unchanged
+and its facets still canonical.  Allowability reads only the labels the
+images carry, so each template is judged once per label vector of a
+simplex, however many simplices carry it.
 """
 
 from __future__ import annotations
@@ -159,8 +169,34 @@ class LgReport:
     boundaries: int
 
 
-def _simplex_tuples(k: StratifiedComplex):
-    return itertools.chain.from_iterable(map(k.simplices_of_dim, range(k.dim + 1)))
+def _sizes(k: StratifiedComplex, i: int, j: int) -> range:
+    """Sizes of the simplices of k that support cells of shape (i, j)."""
+    return range(1, min(k.dim + 1, (j + 1) * (i + 2)) + 1)
+
+
+def _templates(i: int, j: int, s: int) -> list:
+    """Images, end to end, of every canonical non-degenerate cell of shape
+    (i, j) spanning exactly the local simplex 0..s-1.
+
+    The order is that of `enumerate_cells` inside one supporting simplex:
+    column sets in itertools.combinations order, then apex images in
+    itertools.product order.
+    """
+    n_maps = j + 1
+    local = range(s)
+    apex_choices = list(itertools.product(local, repeat=n_maps))
+    out = []
+    for cols in itertools.combinations(itertools.product(local, repeat=n_maps), i + 1):
+        bases = tuple(zip(*cols))
+        missing = set(local).difference(*bases)
+        if len(missing) > n_maps:
+            continue
+        # two equal cone maps need equal bases and equal apexes
+        tied = len(set(bases)) < n_maps
+        for apexes in apex_choices:
+            if missing.issubset(apexes) and not (tied and len(set(apexes)) < n_maps):
+                out.append(tuple(itertools.chain.from_iterable(zip(apexes, *cols))))
+    return out
 
 
 def enumerate_cells(k: StratifiedComplex, i: int, j: int = 0) -> list:
@@ -171,36 +207,23 @@ def enumerate_cells(k: StratifiedComplex, i: int, j: int = 0) -> list:
     larger simplex containing it.  The order is deterministic: supporting
     simplices by size then lexicographically; inside one, column sets in
     itertools.combinations order, then apex images in itertools.product
-    order.
+    order.  Each cell is a template of `_templates` renamed by its simplex.
     """
     if i < 0:
         raise ValidationError(f"base dimension must be >= 0, got {i}")
     if j not in (0, 1):
         raise ValidationError(f"cell shape (i, j) needs j in 0..1, got {j!r}")
-    n_maps = j + 1
     out = []
-    for simplex in _simplex_tuples(k):
-        if len(simplex) > n_maps * (i + 2):
-            break
-        vset = set(simplex)
-        apex_choices = list(itertools.product(simplex, repeat=n_maps))
-        for cols in itertools.combinations(itertools.product(simplex, repeat=n_maps), i + 1):
-            bases = tuple(zip(*cols))
-            missing = vset.difference(*bases)
-            if len(missing) > n_maps:
-                continue
-            # two equal cone maps need equal bases and equal apexes
-            tied = len(set(bases)) < n_maps
-            for apexes in apex_choices:
-                if missing.issubset(apexes) and not (tied and len(set(apexes)) < n_maps):
-                    out.append(Cell(j, tuple(itertools.chain.from_iterable(zip(apexes, *cols)))))
+    for s in _sizes(k, i, j):
+        picks = [itemgetter(*t) for t in _templates(i, j, s)]
+        for simplex in k.simplices_of_dim(s - 1):
+            out.extend(Cell(j, pick(simplex)) for pick in picks)
     return out
 
 
 @cache
 def _facet_plan(i, j):
-    """(sign, child j, image picker, whether the child's columns stay
-    sorted) for each facet of shape (i, j)."""
+    """(sign, child j, image picker) for each facet of shape (i, j)."""
     w = i + 2
     positions = range((j + 1) * w)
     plan = []
@@ -208,11 +231,11 @@ def _facet_plan(i, j):
         if ref.factor == 1:
             # a vertex of simplex(j): drop that cone map
             keep = [q for q in positions if q // w != ref.local]
-            plan.append((ref.sign, j - 1, itemgetter(*keep), False))
+            plan.append((ref.sign, j - 1, itemgetter(*keep)))
         else:
             # a base corner: drop that column from every cone map
             keep = [q for q in positions if q % w != ref.local + 1]
-            plan.append((ref.sign, j, itemgetter(*keep), True))
+            plan.append((ref.sign, j, itemgetter(*keep)))
     return tuple(plan)
 
 
@@ -249,15 +272,8 @@ def cell_boundary(cell: Cell) -> dict:
     out = {}
     if not sign:
         return out
-    for fsign, child_j, pick, sorted_columns in _facet_plan(cell.i, cell.j):
-        child = pick(images)
-        if sorted_columns:
-            # dropping one of sorted, distinct columns keeps them so; only
-            # two cone maps can have become equal
-            maps = _maps(child_j, child)
-            csign = 1 if len(set(maps)) == len(maps) else 0
-        else:
-            csign, child = _canonical(child_j, child)
+    for fsign, child_j, pick in _facet_plan(cell.i, cell.j):
+        csign, child = _canonical(child_j, pick(images))
         if csign:
             key = Cell(child_j, child)
             out[key] = out.get(key, 0) + sign * fsign * csign
@@ -285,6 +301,15 @@ def _perversity_ok(labels, i, j, m, p):
     return True
 
 
+def _label_verdict(labels, j, m, p):
+    """(perversity part passes, apex stratum w_1) of a cell of shape (i, j)
+    whose images, end to end, carry these labels."""
+    width = len(labels) // (j + 1)
+    # with no label <= m - 2 no point of the cell lies in a singular stratum
+    ok = min(labels) > m - 2 or _perversity_ok(labels, width - 2, j, m, p)
+    return ok, max(labels[::width])
+
+
 def cell_allowed(k: StratifiedComplex, cell: Cell, w: WSequence | None = None) -> AllowReport:
     """Perversity and w-sequence admissibility of one cell.
 
@@ -296,20 +321,45 @@ def cell_allowed(k: StratifiedComplex, cell: Cell, w: WSequence | None = None) -
     (i + j) - c + p(c) whenever A is nonempty.  The apex stratum w_1 is
     the largest apex label, the deepest point of the apex path.
     """
-    m = k.dim
     strata = k.strata
-    j = cell.j
-    labels = [strata[v] for v in cell.images]
-    width = len(labels) // (j + 1)
-    w1 = max(labels[::width])
-    # with no label <= m - 2 no point of the cell lies in a singular stratum
-    ok = min(labels) > m - 2 or _perversity_ok(labels, width - 2, j, m, k.perversity)
+    ok, w1 = _label_verdict([strata[v] for v in cell.images], cell.j, k.dim, k.perversity)
     w_ok = True
     if w is not None:
         if len(w) != 1:
             raise ValidationError("cells of order <= 1 carry a single w entry")
         w_ok = w.entries[0] <= w1
     return AllowReport(allowed=ok and w_ok, perversity_ok=ok, w_ok=w_ok, w1=w1)
+
+
+def _allowed_cells(k: StratifiedComplex, i: int, j: int, w1: int):
+    """(simplex, pick, boundary) for every cell of shape (i, j) allowed at
+    w = (w1), in `enumerate_cells` order.
+
+    The cell's images are pick(simplex).  Its boundary lists (child j,
+    child pick, coefficient) in `cell_boundary` order, the child's images
+    being child pick(simplex).  Each template's boundary is compiled once,
+    and its verdict is decided once per label vector of a simplex.
+    """
+    m, p, strata = k.dim, k.perversity, k.strata
+    for s in _sizes(k, i, j):
+        compiled = [
+            (itemgetter(*t),
+             [(c.j, itemgetter(*c.images), coef) for c, coef in cell_boundary(Cell(j, t)).items()])
+            for t in _templates(i, j, s)
+        ]
+        verdicts = {}
+        for simplex in k.simplices_of_dim(s - 1):
+            labels = tuple([strata[v] for v in simplex])
+            keep = verdicts.get(labels)
+            if keep is None:
+                keep = []
+                for entry in compiled:
+                    ok, apex = _label_verdict(entry[0](labels), j, m, p)
+                    if ok and apex >= w1:
+                        keep.append(entry)
+                verdicts[labels] = keep
+            for pick, terms in keep:
+                yield simplex, pick, terms
 
 
 def lg_ranks(k: StratifiedComplex, i: int, w) -> LgReport:
@@ -336,38 +386,40 @@ def lg_ranks(k: StratifiedComplex, i: int, w) -> LgReport:
     if w1 > m:
         raise ValidationError(f"w_1 must lie in 0..{m} for this complex, got {w1}")
 
-    def allowed(base_dim, j):
-        return [c for c in enumerate_cells(k, base_dim, j) if cell_allowed(k, c, w)]
-
-    allowed_i = allowed(i, 0)
+    pos = {}
     rows = {}
     zred = ColumnReduction()
-    for cell in allowed_i:
+    # rows are keyed by (j, images) of the cells they stand for
+    for simplex, pick, terms in _allowed_cells(k, i, 0, w1):
+        pos[0, pick(simplex)] = len(pos)
         zred.add_column(
-            {rows.setdefault(child, len(rows)): coef for child, coef in cell_boundary(cell).items()}
+            {rows.setdefault((cj, cpick(simplex)), len(rows)): coef for cj, cpick, coef in terms}
         )
-    cycles = len(allowed_i) - zred.rank
-
-    pos = {cell: r for r, cell in enumerate(allowed_i)}
     n_allowed = len(pos)
+    cycles = n_allowed - zred.rank
+
     stray = {}
-    cones_up = allowed(i + 1, 0)
-    prisms = allowed(i, 1)
     bred = ColumnReduction()
-    for cell in cones_up + prisms:
-        col = {}
-        for child, coef in cell_boundary(cell).items():
-            r = pos.get(child)
-            if r is None:
-                r = n_allowed + stray.setdefault(child, len(stray))
-            col[r] = coef
-        bred.add_column(col)
+    counts = [n_allowed]
+    for base_dim, j in ((i + 1, 0), (i, 1)):
+        n = 0
+        for simplex, _, terms in _allowed_cells(k, base_dim, j, w1):
+            col = {}
+            for cj, cpick, coef in terms:
+                child = cj, cpick(simplex)
+                r = pos.get(child)
+                if r is None:
+                    r = n_allowed + stray.setdefault(child, len(stray))
+                col[r] = coef
+            bred.add_column(col)
+            n += 1
+        counts.append(n)
     boundaries = bred.rank - bred.rank_on_suffix(n_allowed)
 
     assert 0 <= boundaries <= cycles, "boundary space escaped the cycle space"
-    counts = dict(zip(keys, (n_allowed, len(cones_up), len(prisms))))
     return LgReport(
-        rank=cycles - boundaries, cells=counts, w=w.entries, cycles=cycles, boundaries=boundaries
+        rank=cycles - boundaries, cells=dict(zip(keys, counts)), w=w.entries,
+        cycles=cycles, boundaries=boundaries,
     )
 
 
@@ -375,27 +427,18 @@ def cells_dd_check(k: StratifiedComplex, max_i: int = 2) -> bool:
     """True when the double boundary of every cell with base dim <= max_i
     vanishes in the degeneracy quotient.
 
-    Boundary combinatorics depend only on the shape and the coincidence
-    pattern of the images, so each pattern is checked once; the sweep over
-    a complex then costs little more than the cell enumeration itself.
+    A cell is its template renamed in order, and renaming commutes with
+    the boundary, so the templates of every shape and every simplex size
+    the complex has stand for all of its cells.
     """
-    seen = set()
     for i in range(max_i + 1):
         for j in (0, 1):
-            for cell in enumerate_cells(k, i, j):
-                key = _pattern(cell)
-                if key in seen:
-                    continue
-                seen.add(key)
-                total = Counter()
-                for child, coef in cell_boundary(cell).items():
-                    for grand, coef2 in cell_boundary(child).items():
-                        total[grand] += coef * coef2
-                if any(total.values()):
-                    return False
+            for s in _sizes(k, i, j):
+                for images in _templates(i, j, s):
+                    total = Counter()
+                    for child, coef in cell_boundary(Cell(j, images)).items():
+                        for grand, coef2 in cell_boundary(child).items():
+                            total[grand] += coef * coef2
+                    if any(total.values()):
+                        return False
     return True
-
-
-def _pattern(cell):
-    first = {}
-    return cell.j, tuple(first.setdefault(v, len(first)) for v in cell.images)

@@ -1,9 +1,14 @@
 """End-to-end CLI behavior: exact JSON bytes, exit codes, determinism."""
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import strathom
 from strathom import cli, facelattice
 from strathom.cli import main
 from strathom.complexes import complex_to_json
@@ -205,6 +210,22 @@ def test_well_formed_base_documents_pass(capsys, tmp_path):
     assert run(capsys, ["ih", "--in", write_json(tmp_path, "edge.json", EDGE)])[0] == 0
     assert run(capsys, ["ih", "--in", write_json(tmp_path, "tri.json", TRIANGLE)])[0] == 0
     assert run(capsys, ["flag", "--in", write_json(tmp_path, "seg.json", SEGMENT)])[0] == 0
+
+
+def test_filtration_error_names_the_same_simplex_under_any_hash_seed(tmp_path):
+    # two edges in X_0 break the filtration; the message names the least one
+    doc = {"dim": 1, "vertices": ["u", "v", "w", "x"], "strata": dict.fromkeys("uvwx", 0),
+           "maximal_simplices": [["w", "x"], ["u", "v"]]}
+    path = write_json(tmp_path, "two_edges.json", doc)
+    src = str(Path(strathom.__file__).resolve().parents[1])
+    errors = set()
+    for seed in range(1, 6):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-m", "strathom.cli", "ih", "--in", path],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == ""
+        errors.add(proc.stderr)
+    assert errors == {"error: simplex ['u', 'v'] lies in X_0 but has dimension 1\n"}
 
 
 def test_bad_dim_seq_exits_one(capsys, tmp_path):

@@ -1,13 +1,24 @@
 """Cells of shape (i,0) and (i,1), allowability with w-constraints, rank oracle checks."""
-import pytest
+from itertools import combinations
 
-from oracles import _closure, _lg_boundary, _lg_cone_cells, _lg_prism_cells, naive_lg_rank
-from strathom.complexes import StratifiedComplex, barycentric_subdivision
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import (
+    _closure,
+    _lg_allowed,
+    _lg_boundary,
+    _lg_cone_cells,
+    _lg_prism_cells,
+    naive_lg_rank,
+)
+from strathom.complexes import Perversity, StratifiedComplex, barycentric_subdivision
 from strathom.corpus import by_name, small_members
 from strathom.errors import ValidationError
 from strathom.lghomology import (
     Cell,
     WSequence,
+    _allowed_cells,
     cell_allowed,
     cell_boundary,
     cells_dd_check,
@@ -92,6 +103,33 @@ def test_enumerate_cells_matches_oracle_enumerators():
                 cells = [_oracle_form(c) for c in enumerate_cells(k, i, j)]
                 assert len(cells) == len(set(cells)), (entry.name, i, j)
                 assert set(cells) == set(oracle[j](simplices, i)), (entry.name, i, j)
+
+
+def test_template_cells_are_the_specified_cells():
+    # The cells lg_ranks reduces, and their boundaries, are those that
+    # enumerate_cells, cell_allowed and cell_boundary define one by one.
+    for entry, base in small_members():
+        for k in (base, barycentric_subdivision(base)):
+            counts = {}
+            for i in (0, 1, 2):
+                for j in (0, 1):
+                    cells = enumerate_cells(k, i, j)
+                    # cells allowed at a larger w are allowed at w = 0, so
+                    # every boundary in use is compared at w = 0
+                    for w1 in range(k.dim + 1):
+                        w = WSequence((w1,))
+                        spec = [c for c in cells if cell_allowed(k, c, w)]
+                        got = list(_allowed_cells(k, i, j, w1))
+                        assert [(j, pick(simplex)) for simplex, pick, _ in got] == \
+                            [(c.j, c.images) for c in spec], (entry.name, i, j, w1)
+                        for c, (simplex, _, terms) in zip(spec, got) if w1 == 0 else ():
+                            assert {(cj, cpick(simplex)): coef for cj, cpick, coef in terms} == \
+                                {(child.j, child.images): coef
+                                 for child, coef in cell_boundary(c).items()}
+                        counts[i, j, w1] = len(spec)
+            for w1 in range(k.dim + 1):
+                assert list(lg_ranks(k, 0, (w1,)).cells.values()) == [
+                    counts[0, 0, w1], counts[1, 0, w1], counts[0, 1, w1]]
 
 
 def test_cell_boundary_is_the_oracle_boundary_resigned():
@@ -207,6 +245,48 @@ def test_lg_ranks_match_brute_force_oracle(name, i, w1, expected):
     live = lg_ranks(k, i, (w1,)).rank
     strata, maximal = _oracle_inputs(k)
     assert live == naive_lg_rank(strata, maximal, k.perversity, i, w1) == expected
+
+
+@st.composite
+def _small_complexes(draw):
+    """Complexes on at most five vertices, of dimension at most three, whose
+    random labels are raised until they pass the filtration check, under a
+    random perversity."""
+    names = "abcde"[:draw(st.integers(min_value=1, max_value=5))]
+    facets = draw(st.lists(st.sets(st.sampled_from(names), min_size=1, max_size=4),
+                           min_size=1, max_size=4))
+    facets += [{v} for v in names if not any(v in f for f in facets)]
+    m = max(map(len, facets)) - 1
+    labels = {v: draw(st.integers(min_value=0, max_value=m + 1)) for v in names}
+    # raising labels only ever mends a simplex, so one pass suffices
+    for f in {c for f in facets for r in range(2, len(f) + 1) for c in combinations(sorted(f), r)}:
+        top = max(labels[v] for v in f)
+        if top < m and len(f) - 1 > top:
+            labels.update((v, max(labels[v], len(f) - 1)) for v in f)
+    values = [0] if m >= 2 else []
+    for _ in range(m - 2):
+        values.append(values[-1] + draw(st.integers(min_value=0, max_value=1)))
+    return StratifiedComplex(labels, facets, Perversity(tuple(values)))
+
+
+@settings(deadline=None, max_examples=25)
+@given(_small_complexes(), st.data())
+def test_lg_ranks_match_the_oracle_on_random_complexes(k, data):
+    # The cell counts pin the allowability down as well: on small
+    # complexes the rank alone rarely depends on it.
+    strata, maximal = _oracle_inputs(k)
+    simplices = sorted(_closure(maximal))
+    w1 = data.draw(st.integers(min_value=0, max_value=k.dim))
+
+    def allowed(cells):
+        return sum(1 for c in cells if _lg_allowed(c, strata, k.dim, k.perversity, w1))
+
+    for i in (0, 1) if k.dim <= 1 else (0,):
+        report = lg_ranks(k, i, (w1,))
+        assert report.rank == naive_lg_rank(strata, maximal, k.perversity, i, w1)
+        assert list(report.cells.values()) == [
+            allowed(_lg_cone_cells(simplices, i)), allowed(_lg_cone_cells(simplices, i + 1)),
+            allowed(_lg_prism_cells(simplices, i))]
 
 
 def test_lg_ranks_validation_and_empty_complex():
