@@ -18,9 +18,8 @@ from .complexes import complex_from_json
 from .facelattice import (
     FlagVector,
     fibonacci,
-    flag_rank,
     flag_vector,
-    ic_lattices,
+    ic_flag_rank,
     ic_words,
     lattice_from_json,
 )
@@ -34,8 +33,8 @@ __all__ = ["main"]
 # Largest arguments of the subcommands whose cost grows exponentially; the
 # largest allowed call of each takes under a minute (see README).
 MAX_ICCHECK_LEN = 18
-MAX_FIBRANK_DIM = 8
-MAX_FIT_DIM = 7
+MAX_FIBRANK_DIM = 11
+MAX_FIT_DIM = 11
 MAX_SHAPES_TOTAL_DIM = 14
 
 
@@ -73,7 +72,7 @@ def _cmd_flag(args) -> dict:
 
 def _cmd_fibrank(args) -> dict:
     _check_limit("--dim", args.dim, MAX_FIBRANK_DIM)
-    rank = flag_rank(lattice for _, lattice in ic_lattices(args.dim))
+    rank = ic_flag_rank(args.dim)
     target = fibonacci(args.dim + 1)
     return {"rank": rank, "fibonacci": target, "match": rank == target}
 

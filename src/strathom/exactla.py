@@ -3,13 +3,13 @@
 Rank decisions in this package are never made in floating point.  Every
 rank, of a sparse boundary matrix or of a dense integer matrix, and the
 span test of a flag-vector prediction, goes through one integer column
-reduction; solving the flag-vector fit alone goes through Fraction
-Gaussian elimination.
+reduction; solving the flag-vector fit alone goes through integer
+Gauss-Jordan elimination, with Fractions only in the solutions.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 _GROWTH_LIMIT = 1 << 48
 
@@ -85,35 +85,6 @@ class ColumnReduction:
         return sum(1 for r in self._pivots if r >= first_row)
 
 
-def rref(rows: list[list[Fraction]], stop_col: int):
-    """Reduced row echelon form in place over Fraction.
-
-    Pivots are only chosen in columns < stop_col, which makes
-    augmented-system elimination straightforward.  Returns the list of
-    pivot column indices.
-    """
-    if not rows:
-        return []
-    pivots: list[int] = []
-    r = 0
-    for c in range(stop_col):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
-
-
 def dense_rank(rows) -> int:
     """Rank of a dense integer matrix given as rows.
 
@@ -126,6 +97,21 @@ def dense_rank(rows) -> int:
     return reduction.rank
 
 
+def _primitive(row: list[int]) -> list[int]:
+    """Divide a dense integer row by the gcd of its entries."""
+    g = gcd(*row)
+    return row if g < 2 else [v // g for v in row]
+
+
+def _integral(row) -> list[int]:
+    """A positive multiple of a row of rationals with integer entries."""
+    if all(type(v) is int for v in row):
+        return list(row)
+    row = [Fraction(v) for v in row]
+    m = lcm(*(v.denominator for v in row))
+    return [int(v * m) for v in row]
+
+
 def solve_right(a_rows, b_rows):
     """Solve A x = b for each column b of B, exactly.
 
@@ -133,23 +119,39 @@ def solve_right(a_rows, b_rows):
     each, one per row of A).  Returns k particular solutions (free
     variables zero) as lists of Fractions, or None if any of the k
     systems is inconsistent.
+
+    Gauss-Jordan elimination runs on integer rows: scaling a row leaves
+    its equation unchanged, so each row is kept primitive and the
+    solution is read off as a quotient of two integers per pivot.
     """
     if len(a_rows) != len(b_rows):
         raise ValueError("A and B must have the same number of rows")
     ncols = len(a_rows[0]) if a_rows else 0
     k = len(b_rows[0]) if b_rows else 0
-    aug = [[Fraction(v) for v in ra] + [Fraction(v) for v in rb]
-           for ra, rb in zip(a_rows, b_rows)]
-    if not aug:
-        return [[Fraction(0)] * ncols for _ in range(k)]
-    pivots = rref(aug, stop_col=ncols)
-    for row in aug[len(pivots):]:
-        if any(v != 0 for v in row[ncols:]):
-            return None
+    rows = [_integral([*ra, *rb]) for ra, rb in zip(a_rows, b_rows)]
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                g = gcd(p, row[c])
+                a, b = p // g, row[c] // g
+                rows[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
+        pivots.append(c)
+    if any(any(row[ncols:]) for row in rows[len(pivots):]):
+        return None
     solutions = []
-    for j in range(k):
+    for j in range(ncols, ncols + k):
         x = [Fraction(0)] * ncols
-        for r, c in enumerate(pivots):
-            x[c] = aug[r][ncols + j]
+        for row, c in zip(rows, pivots):
+            x[c] = Fraction(row[j], row[c])
         solutions.append(x)
     return solutions

@@ -8,6 +8,12 @@ applied to a point determines a polytope up to combinatorial type.
 
 Flag vectors count chains of proper faces by dimension set, with the
 empty chain contributing the entry 1 at the empty set.
+
+Pyramid and prism also act linearly on flag vectors (Ehrenborg-Readdy,
+"Coproducts and the cd-index", 1998).  `ic_flag_vectors` and
+`ic_flag_rank` use that to get the flag vectors of all words of one
+length straight from the words, with no lattice; the lattices are the
+reference they are tested against.
 """
 from __future__ import annotations
 
@@ -262,12 +268,20 @@ class FlagVector:
         if not isinstance(doc["entries"], dict):
             raise ValidationError("flag vector 'entries' must map subsets to counts")
         entries = {}
+        spelled = {}
         for key, v in doc["entries"].items():
-            subset = frozenset(int(p) for p in key.split(",") if p != "")
+            members = [int(p) for p in key.split(",") if p != ""]
+            subset = frozenset(members)
             if any(not 0 <= j < n for j in subset):
                 raise ValidationError(f"flag entry {key!r} is outside 0..{n - 1}")
+            if len(subset) != len(members):
+                raise ValidationError(f"flag entry {key!r} repeats a member")
+            if subset in spelled:
+                raise ValidationError(
+                    f"flag entries {spelled[subset]!r} and {key!r} name the same subset")
             if not is_int(v):
                 raise ValidationError(f"flag entry {key!r} must be an integer")
+            spelled[subset] = key
             entries[subset] = v
         # distinct subsets of 0..n-1 cover them all exactly when there are 2^n
         if len(entries) != 1 << n:
@@ -363,6 +377,85 @@ def ic_words(n: int) -> list[str]:
 def ic_lattices(n: int):
     """All words of length n over {I, C} with their lattices, sorted, built one at a time."""
     return ((word, from_word(word)) for word in ic_words(n))
+
+
+# ------------------------------------------------- IC words, no lattices
+
+
+def _split_table(n: int):
+    """Where the pyramid and prism steps into dimension n read their base.
+
+    A subset T of {0..n-1} is a bitmask; call its members t_1 < ... < t_k.
+    A chain of proper faces of Pyr(P) or P x I through dimensions T splits
+    after its j-th face, j = 0..k: faces up to there lie in the base (or in
+    an end copy of P), and each later face of dimension t sits over a face
+    of P of dimension t - 1.  Split j reads P's flag number at
+    U_j = {t_1..t_j} | {t_{j+1}-1, ..., t_k-1}, without -1 and without
+    n - 1 (the dimension of P itself).  Per T this returns U_0, whether the
+    prism counts split 0 (it has no face over the empty face, so only when
+    0 is not in T), and (U_1, ..., U_k).
+    """
+    keep = (1 << (n - 1)) - 1
+    table = []
+    for t in range(1 << n):
+        splits = []
+        low = 0
+        for d in range(n):
+            if t >> d & 1:
+                low |= 1 << d
+                splits.append((low | (t ^ low) >> 1) & keep)
+        table.append((t >> 1 & keep, not t & 1, tuple(splits)))
+    return table
+
+
+def _ic_word_rows(n: int):
+    """(word, flag entries) for every word of length n over {I, C}.
+
+    Entries are a list indexed by subset bitmask (bit d for dimension d).
+    Words are evaluated rightmost letter first, so the walk goes depth
+    first over suffixes, and one pass over a suffix's entries yields both
+    of its extensions: with S_T = sum of f(U_1..U_k) from _split_table,
+    f_T(Pyr P) = S_T + f(U_0) and f_T(P x I) = 2 S_T, plus f(U_0) when
+    0 is not in T.  Words come out in depth-first order, not sorted.
+    """
+    ic_words(n)  # rejects n < 1 before any work
+    tables = [_split_table(d) for d in range(1, n + 1)]
+
+    def walk(suffix, f):
+        if len(suffix) == n:
+            yield suffix, f
+            return
+        pyr, prism = [], []
+        for u0, prism_u0, rest in tables[len(suffix)]:
+            s = sum(map(f.__getitem__, rest))
+            pyr.append(s + f[u0])
+            prism.append(2 * s + f[u0] if prism_u0 else 2 * s)
+        yield from walk("C" + suffix, pyr)
+        yield from walk("I" + suffix, prism)
+
+    return walk("", [1])
+
+
+def ic_flag_vectors(n: int, of_duals: bool = False) -> list:
+    """(word, FlagVector) for every word of length n over {I, C}, sorted
+    by word, computed from the word with no face lattice.
+
+    With of_duals=True each vector is that of the dual polytope, whose
+    flag numbers are the original ones with every dimension d read as
+    n-1-d.
+    """
+    rows = _ic_word_rows(n)
+    keys = [frozenset(d for d in range(n) if mask >> d & 1) for mask in range(1 << n)]
+    if of_duals:
+        keys = [frozenset(n - 1 - d for d in key) for key in keys]
+    return sorted(((word, FlagVector(n, dict(zip(keys, row)))) for word, row in rows),
+                  key=lambda pair: pair[0])
+
+
+def ic_flag_rank(n: int) -> int:
+    """Rank over the rationals of the flag vectors of all 2^n words of
+    length n over {I, C}."""
+    return dense_rank([row for _, row in _ic_word_rows(n)])
 
 
 def fibonacci(n: int) -> int:

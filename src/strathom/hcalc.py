@@ -13,14 +13,9 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .exactla import ColumnReduction, solve_right
-from .facelattice import (
-    FlagVector,
-    dual,
-    flag_vector,
-    ic_lattices,
-    parse_word,
-    subset_order,
-)
+from .facelattice import FlagVector, ic_flag_vectors, parse_word, subset_order
+# not called here; perfbench/tracing.py still looks these names up on this module
+from .facelattice import dual, flag_vector  # noqa: F401
 
 
 def _check_vector(h):
@@ -138,49 +133,69 @@ def _training_matrices(training):
     return n, flags, hs
 
 
-def fit(training) -> LinearFit:
-    """Solve for linear forms taking each training flag vector to its
-    h-vector; raises if the training data admits no such forms."""
-    n, flags, hs = _training_matrices(training)
+def _solve(n, flags, hs) -> LinearFit:
     solutions = solve_right(flags, hs)
     if solutions is None:
         raise DomainError("no linear function fits")
     return LinearFit(n, tuple(tuple(s) for s in solutions))
 
 
+def fit(training) -> LinearFit:
+    """Solve for linear forms taking each training flag vector to its
+    h-vector; raises if the training data admits no such forms."""
+    return _solve(*_training_matrices(training))
+
+
 def fit_and_predict(training, query: FlagVector):
-    """Fit linear forms on the training pairs and apply them to query.
+    """Fit linear forms on integer training pairs and apply them to query.
 
     The prediction is only defined when query lies in the rational span
     of the training flag vectors, query = sum c_j flag_j; then every
-    choice of forms gives sum c_j h_j, by linearity.  The query lies in
-    that span exactly when its row claims no new pivot after the
-    training rows.
+    choice of forms gives sum c_j h_j, by linearity.
+
+    Each pair enters one integer ColumnReduction as the column
+    [h | flag], with the h entries at the low rows.  A pivot in the flag
+    block puts the pair in a basis of the span.  A pivot in the h block
+    means its flag vector is a combination of earlier ones but its
+    h-vector is not the same combination, so no linear function fits.
+    The forms are solved on the basis pairs only.  The query, fed as
+    [0 | flag], lies in the span exactly when its pivot does not land in
+    the flag block.
     """
-    training = list(training)
-    linear_fit = fit(training)
-    n = linear_fit.dim
+    n, flags, hs = _training_matrices(training)
+    width = len(hs[0])
+    span = ColumnReduction()
+    basis_flags, basis_hs = [], []
+    for flag, h in zip(flags, hs):
+        column = dict(enumerate(h))
+        column.update(enumerate(flag, width))
+        pivot = span.add_column(column)
+        if pivot is None:
+            continue
+        if pivot < width:
+            raise DomainError("no linear function fits")
+        basis_flags.append(flag)
+        basis_hs.append(h)
+    linear_fit = _solve(n, basis_flags, basis_hs)
     if query.dim != n:
         raise DomainError(f"query has dimension {query.dim}, training has dimension {n}")
-    span = ColumnReduction()
-    for flag, _ in training:
-        span.add_column(dict(enumerate(flag.as_row())))
-    if span.add_column(dict(enumerate(query.as_row()))) is not None:
+    pivot = span.add_column(dict(enumerate(query.as_row(), width)))
+    if pivot is not None and pivot >= width:
         raise DomainError("prediction not determined")
     return linear_fit.predict(query)
 
 
 def ic_training_data(n: int):
-    """Flag vector and h-vector pairs for every length-n word over {I, C}.
+    """Flag vector and h-vector pairs for every length-n word over {I, C},
+    sorted by word.
 
     The h-vector of a word is paired with the flag vector of the *dual*
-    of its lattice.  Duality swaps the prism construction with the free
+    of its polytope.  Duality swaps the prism construction with the free
     sum, so the fitted linear forms evaluate a query lattice's own
     generalized h-vector: on the octahedron (dual of III) they return
     eval_word("III") = (1, 3, 3, 1), which for a simplicial polytope
     agrees with the classical h-vector of the boundary complex.  Pairing
-    the word with its own lattice instead would fit the dual convention
+    the word with its own polytope instead would fit the dual convention
     (octahedron -> (1, 5, 5, 1), the cube's generalized h-vector).
     """
-    return [(flag_vector(dual(lattice)), eval_word(word))
-            for word, lattice in ic_lattices(n)]
+    return [(flag, eval_word(word)) for word, flag in ic_flag_vectors(n, of_duals=True)]

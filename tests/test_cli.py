@@ -125,8 +125,8 @@ def test_validation_failures_exit_one_with_message(capsys, argv):
 
 @pytest.mark.parametrize("argv, work", [
     (["iccheck", "--max-len", "19"], "ic_words"),
-    (["fibrank", "--dim", "9"], "ic_lattices"),
-    (["fit", "--dim", "8", "--predict", "QUERY"], "ic_training_data"),
+    (["fibrank", "--dim", "12"], "ic_flag_rank"),
+    (["fit", "--dim", "12", "--predict", "QUERY"], "ic_training_data"),
     (["shapes", "--dd-check", "--max-total-dim", "15"], "iter_shapes"),
 ])
 def test_exponential_subcommands_refuse_arguments_above_their_limit(
@@ -172,15 +172,21 @@ POINT_FACES = [{"id": "e", "dim": -1}, {"id": "p", "dim": 0}]
     ("flag", {**SEGMENT, "dim": True}),
     ("fit", {"dim": 3, "entries": [1, 6, 12, 8]}),
     ("fit", {"dim": True, "entries": {"": 1, "0": 2}}),
+    ("fit", {"dim": 1, "entries": {"": 1, "0": 2, "0,0": 3}}),
+    ("fit", {"dim": 1, "entries": {"": 1, "0,0": 2}}),
+    ("fit", {"dim": 2, "entries": {"": 1, "0": 4, "1": 4, "0,1": 8, "1,0": 8}}),
 ], ids=[
     "vertices-int", "vertex-int", "simplex-nested", "simplex-int", "label-bool",
     "dim-string", "dim-bool", "perversity-bool", "perversity-string", "covers-int", "cover-list-id", "cover-int-id", "face-int-id",
     "face-dim-bool", "lattice-dim-bool", "entries-list", "flag-dim-bool",
+    "entry-repeats-member-beside-subset", "entry-repeats-member", "subset-spelled-twice",
 ])
 def test_malformed_documents_exit_one_with_one_line(capsys, tmp_path, command, doc):
     path = write_json(tmp_path, "bad.json", doc)
     if command == "fit":
-        argv = ["fit", "--dim", "3", "--predict", path]
+        # fit at the document's own dimension, so only the document can be at fault
+        dim = str(doc["dim"]) if type(doc["dim"]) is int else "3"
+        argv = ["fit", "--dim", dim, "--predict", path]
     else:
         argv = [command, "--in", path]
     code, out, err = run(capsys, argv)

@@ -1,6 +1,6 @@
 """Lattice construction, flag vectors, duality, serialization."""
 from itertools import combinations
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,11 +11,15 @@ from strathom.facelattice import (
     FaceLattice,
     FlagVector,
     dual,
+    fibonacci,
     flag_rank,
     flag_vector,
     from_simplicial_facets,
     from_word,
+    ic_flag_rank,
+    ic_flag_vectors,
     ic_lattices,
+    ic_words,
     lattice_from_json,
     lattice_to_json,
     parse_word,
@@ -288,3 +292,57 @@ def test_flag_vector_of_point_and_segment():
     assert fv.dim == 0 and fv.entries == {frozenset(): 1}
     fv = flag_vector(from_word("I"))
     assert fv.dim == 1 and fv.entries == {frozenset(): 1, frozenset({0}): 2}
+
+
+def test_word_flag_vectors_equal_the_lattice_flag_vectors():
+    for n in range(1, 7):
+        words = ic_words(n)
+        primal = ic_flag_vectors(n)
+        duals = ic_flag_vectors(n, of_duals=True)
+        assert [w for w, _ in primal] == [w for w, _ in duals] == words
+        for word, fv, dv in zip(words, (fv for _, fv in primal), (dv for _, dv in duals)):
+            lattice = from_word(word)
+            assert fv == flag_vector(lattice), word
+            assert dv == flag_vector(dual(lattice)), word
+
+
+def test_word_flag_vectors_of_cube_and_simplex_are_the_closed_forms():
+    for n in range(1, 11):
+        vectors = dict(ic_flag_vectors(n))
+        cube, simplex = vectors["I" * n], vectors["C" * n]
+        for subset in subset_order(n):
+            s = sorted(subset)
+            if not s:
+                assert cube.entry(s) == simplex.entry(s) == 1
+                continue
+            # cube: a face of dimension b of the b-cube has comb(b, a) 2^(b-a) faces of dimension a
+            assert cube.entry(s) == comb(n, s[-1]) * 2 ** (n - s[-1]) * prod(
+                comb(b, a) * 2 ** (b - a) for a, b in zip(s, s[1:])), (n, s)
+            # simplex: nested vertex sets of sizes s_1+1 < ... < s_k+1 out of n+1
+            sizes = [0] + [d + 1 for d in s] + [n + 1]
+            assert simplex.entry(s) == factorial(n + 1) // prod(
+                factorial(b - a) for a, b in zip(sizes, sizes[1:])), (n, s)
+
+
+def test_word_flag_vectors_span_fibonacci_many_dimensions():
+    assert [ic_flag_rank(n) for n in range(1, 9)] == [fibonacci(n + 1) for n in range(1, 9)]
+    assert [fibonacci(n + 1) for n in range(1, 9)] == [1, 2, 3, 5, 8, 13, 21, 34]
+    with pytest.raises(DomainError, match="n >= 1"):
+        ic_flag_rank(0)
+    with pytest.raises(DomainError, match="n >= 1"):
+        ic_flag_vectors(-1)
+
+
+@pytest.mark.parametrize("entries, match", [
+    ({"": 1, "0": 2, "0,0": 3}, "repeats a member"),
+    ({"": 1, "0,0": 2}, "repeats a member"),
+])
+def test_flag_vector_json_rejects_a_repeated_member(entries, match):
+    with pytest.raises(ValidationError, match=match):
+        FlagVector.from_json({"dim": 1, "entries": entries})
+
+
+def test_flag_vector_json_rejects_two_spellings_of_one_subset():
+    entries = {"": 1, "0": 4, "1": 4, "0,1": 8, "1,0": 8}
+    with pytest.raises(ValidationError, match="'0,1' and '1,0' name the same subset"):
+        FlagVector.from_json({"dim": 2, "entries": entries})

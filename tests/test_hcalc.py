@@ -192,3 +192,25 @@ def test_eval_word_is_symmetric_and_positive(word):
 @given(st.text(alphabet="IC", min_size=1, max_size=7))
 def test_ic_check_holds_generically(word):
     assert ic_check(eval_word(word)).holds
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_fit_refuses_training_with_one_bumped_h_vector(index):
+    training = ic_training_data(3)
+    flag, h = training[index]
+    training[index] = (flag, (h[0] + 1,) + h[1:])
+    octa = flag_vector(from_simplicial_facets(OCTA_FACETS))
+    with pytest.raises(DomainError, match="no linear function fits"):
+        fit_and_predict(training, octa)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(-4, 4), min_size=2 ** n, max_size=2 ** n))))
+def test_prediction_of_a_combination_is_the_combination_of_h_vectors(case):
+    n, coeffs = case
+    training = ic_training_data(n)
+    query = FlagVector(n, {s: sum(c * flag.entries[s] for c, (flag, _) in zip(coeffs, training))
+                           for s in subset_order(n)})
+    want = tuple(sum(c * h[k] for c, (_, h) in zip(coeffs, training)) for k in range(n + 1))
+    assert fit_and_predict(training, query) == want
