@@ -436,18 +436,12 @@ def _ic_word_rows(n: int):
     return walk("", [1])
 
 
-def ic_flag_vectors(n: int, of_duals: bool = False) -> list:
+def ic_flag_vectors(n: int) -> list:
     """(word, FlagVector) for every word of length n over {I, C}, sorted
-    by word, computed from the word with no face lattice.
-
-    With of_duals=True each vector is that of the dual polytope, whose
-    flag numbers are the original ones with every dimension d read as
-    n-1-d.
-    """
+    by word, computed from the word with no face lattice.  Every vector
+    keys its entries in the same order, by subset bitmask."""
     rows = _ic_word_rows(n)
     keys = [frozenset(d for d in range(n) if mask >> d & 1) for mask in range(1 << n)]
-    if of_duals:
-        keys = [frozenset(n - 1 - d for d in key) for key in keys]
     return sorted(((word, FlagVector(n, dict(zip(keys, row)))) for word, row in rows),
                   key=lambda pair: pair[0])
 

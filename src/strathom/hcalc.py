@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .exactla import ColumnReduction, solve_right
+from .exactla import ColumnReduction, _integral, solve_right
 from .facelattice import FlagVector, ic_flag_vectors, parse_word, subset_order
 # not called here; perfbench/tracing.py still looks these names up on this module
 from .facelattice import dual, flag_vector  # noqa: F401
@@ -147,39 +147,34 @@ def fit(training) -> LinearFit:
 
 
 def fit_and_predict(training, query: FlagVector):
-    """Fit linear forms on integer training pairs and apply them to query.
+    """Fit linear forms on the training pairs and apply them to query.
 
     The prediction is only defined when query lies in the rational span
     of the training flag vectors, query = sum c_j flag_j; then every
     choice of forms gives sum c_j h_j, by linearity.
 
     Each pair enters one integer ColumnReduction as the column
-    [h | flag], with the h entries at the low rows.  A pivot in the flag
-    block puts the pair in a basis of the span.  A pivot in the h block
-    means its flag vector is a combination of earlier ones but its
-    h-vector is not the same combination, so no linear function fits.
-    The forms are solved on the basis pairs only.  The query, fed as
-    [0 | flag], lies in the span exactly when its pivot does not land in
-    the flag block.
+    [h | flag], with the h entries at the low rows, scaled to integers
+    (which moves no pivot).  A pair whose column reduces to zero repeats
+    an earlier combination exactly and is dropped; the forms are solved
+    on the others only.  Those include a basis of the span, plus any
+    pair whose flag vector is a combination of earlier ones but whose
+    h-vector is not, and on which no linear function fits.  The query,
+    fed as [0 | flag], lies in the span exactly when its pivot does not
+    land in the flag block.
     """
     n, flags, hs = _training_matrices(training)
     width = len(hs[0])
     span = ColumnReduction()
-    basis_flags, basis_hs = [], []
+    kept_flags, kept_hs = [], []
     for flag, h in zip(flags, hs):
-        column = dict(enumerate(h))
-        column.update(enumerate(flag, width))
-        pivot = span.add_column(column)
-        if pivot is None:
-            continue
-        if pivot < width:
-            raise DomainError("no linear function fits")
-        basis_flags.append(flag)
-        basis_hs.append(h)
-    linear_fit = _solve(n, basis_flags, basis_hs)
+        if span.add_column(dict(enumerate(_integral([*h, *flag])))) is not None:
+            kept_flags.append(flag)
+            kept_hs.append(h)
+    linear_fit = _solve(n, kept_flags, kept_hs)
     if query.dim != n:
         raise DomainError(f"query has dimension {query.dim}, training has dimension {n}")
-    pivot = span.add_column(dict(enumerate(query.as_row(), width)))
+    pivot = span.add_column(dict(enumerate(_integral(query.as_row()), width)))
     if pivot is not None and pivot >= width:
         raise DomainError("prediction not determined")
     return linear_fit.predict(query)
@@ -198,4 +193,11 @@ def ic_training_data(n: int):
     the word with its own polytope instead would fit the dual convention
     (octahedron -> (1, 5, 5, 1), the cube's generalized h-vector).
     """
-    return [(flag, eval_word(word)) for word, flag in ic_flag_vectors(n, of_duals=True)]
+    # The dual's flag numbers are the polytope's with dimension d read as
+    # n-1-d.  The vectors share one key order, so the reversed keys are
+    # listed once; pairs replace the vectors in place, so one set is held.
+    pairs = ic_flag_vectors(n)
+    keys = [frozenset(n - 1 - d for d in s) for s in pairs[0][1].entries]
+    for i, (word, flag) in enumerate(pairs):
+        pairs[i] = (FlagVector(n, dict(zip(keys, flag.entries.values()))), eval_word(word))
+    return pairs

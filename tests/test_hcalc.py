@@ -9,9 +9,11 @@ from oracles import nullspace, row_reduce, simplicial_h_vector
 from strathom.errors import DomainError
 from strathom.facelattice import (
     FlagVector,
+    dual,
     flag_vector,
     from_simplicial_facets,
     from_word,
+    ic_words,
     subset_order,
 )
 from strathom.hcalc import (
@@ -214,3 +216,26 @@ def test_prediction_of_a_combination_is_the_combination_of_h_vectors(case):
                            for s in subset_order(n)})
     want = tuple(sum(c * h[k] for c, (_, h) in zip(coeffs, training)) for k in range(n + 1))
     assert fit_and_predict(training, query) == want
+
+
+def test_training_data_pairs_each_word_with_its_dual_polytope():
+    for n in range(1, 5):
+        training = ic_training_data(n)
+        assert [h for _, h in training] == [eval_word(w) for w in ic_words(n)]
+        assert [flag for flag, _ in training] == [
+            flag_vector(dual(from_word(w))) for w in ic_words(n)]
+
+
+def test_fit_and_predict_takes_rational_pairs():
+    octa = flag_vector(from_simplicial_facets(OCTA_FACETS))
+    thirds = [(flag, tuple(Fraction(v, 3) for v in h)) for flag, h in ic_training_data(3)]
+    assert fit_and_predict(thirds, octa) == (Fraction(1, 3), 1, 1, Fraction(1, 3))
+    halves = [(flag, tuple(v / 2 for v in h)) for flag, h in ic_training_data(3)]
+    assert fit_and_predict(halves, octa) == (0.5, 1.5, 1.5, 0.5)
+    half_octa = FlagVector(3, {s: Fraction(v, 2) for s, v in octa.entries.items()})
+    assert fit_and_predict(ic_training_data(3), half_octa) == (Fraction(1, 2), Fraction(3, 2),
+                                                               Fraction(3, 2), Fraction(1, 2))
+    flag, h = thirds[5]
+    thirds[5] = (flag, (h[0] + Fraction(1, 7),) + h[1:])
+    with pytest.raises(DomainError, match="no linear function fits"):
+        fit_and_predict(thirds, octa)
