@@ -15,6 +15,7 @@ import sys
 import traceback
 
 from .complexes import complex_from_json
+from .errors import DomainError
 from .facelattice import (
     FlagVector,
     fibonacci,
@@ -85,6 +86,9 @@ def _cmd_fit(args) -> dict:
         query = flag_vector(lattice_from_json(doc))
     else:
         query = FlagVector.from_json(doc)
+    if query.dim != args.dim:
+        # refused before any of the 2^dim training pairs is built
+        raise DomainError(f"query has dimension {query.dim}, training has dimension {args.dim}")
     prediction = fit_and_predict(ic_training_data(args.dim), query)
     return {"h": [int(v) for v in prediction]}
 

@@ -7,7 +7,10 @@ combinatorially, so a word in the letters I (prism) and C (pyramid)
 applied to a point determines a polytope up to combinatorial type.
 
 Flag vectors count chains of proper faces by dimension set, with the
-empty chain contributing the entry 1 at the empty set.
+empty chain contributing the entry 1 at the empty set.  A dimension set
+is a bitmask, bit d for dimension d, and `FlagVector.entries` is the
+tuple of the 2^n counts indexed by that mask; only the JSON form spells
+the sets out.
 
 Pyramid and prism also act linearly on flag vectors (Ehrenborg-Readdy,
 "Coproducts and the cd-index", 1998).  `ic_flag_vectors` and
@@ -241,22 +244,22 @@ def from_simplicial_facets(facets) -> FaceLattice:
 
 @dataclass(frozen=True)
 class FlagVector:
-    """Chain counts of proper faces, one entry per subset of {0..n-1}."""
+    """Chain counts of proper faces, one entry per subset of {0..dim-1}:
+    entries[mask] counts the chains whose dimensions have bitmask mask."""
 
     dim: int
-    entries: dict
+    entries: tuple
 
-    def entry(self, subset) -> int:
-        return self.entries[frozenset(subset)]
-
-    def as_row(self, order=None) -> list[int]:
-        if order is None:
-            order = subset_order(self.dim)
-        return [self.entries[s] for s in order]
+    def dual(self) -> "FlagVector":
+        """The flag vector of the dual polytope: dimension d is read as
+        dim-1-d, so each mask has its bits reversed."""
+        masks = [0]  # masks[m] = m with bit d moved to bit dim-1-d
+        for bit in reversed(range(self.dim)):
+            masks += [m | 1 << bit for m in masks]
+        return FlagVector(self.dim, tuple(map(self.entries.__getitem__, masks)))
 
     def to_json(self) -> dict:
-        keys = {",".join(map(str, sorted(s))): v for s, v in self.entries.items()}
-        return {"dim": self.dim, "entries": keys}
+        return {"dim": self.dim, "entries": dict(zip(_subset_keys(self.dim), self.entries))}
 
     @staticmethod
     def from_json(doc) -> "FlagVector":
@@ -265,35 +268,37 @@ class FlagVector:
         n = doc["dim"]
         if not is_int(n) or n < 0:
             raise ValidationError("flag vector 'dim' must be a non-negative integer")
-        if not isinstance(doc["entries"], dict):
+        entries = doc["entries"]
+        if not isinstance(entries, dict):
             raise ValidationError("flag vector 'entries' must map subsets to counts")
-        entries = {}
-        spelled = {}
-        for key, v in doc["entries"].items():
-            members = [int(p) for p in key.split(",") if p != ""]
-            subset = frozenset(members)
-            if any(not 0 <= j < n for j in subset):
+        spelled = {}  # the sorted spelling of each subset -> its key in entries
+        for key, v in entries.items():
+            members = sorted(int(p) for p in key.split(",") if p != "")
+            if any(not 0 <= j < n for j in members):
                 raise ValidationError(f"flag entry {key!r} is outside 0..{n - 1}")
-            if len(subset) != len(members):
+            if len(set(members)) != len(members):
                 raise ValidationError(f"flag entry {key!r} repeats a member")
-            if subset in spelled:
+            canonical = ",".join(map(str, members))
+            if canonical in spelled:
                 raise ValidationError(
-                    f"flag entries {spelled[subset]!r} and {key!r} name the same subset")
+                    f"flag entries {spelled[canonical]!r} and {key!r} name the same subset")
             if not is_int(v):
                 raise ValidationError(f"flag entry {key!r} must be an integer")
-            spelled[subset] = key
-            entries[subset] = v
-        # distinct subsets of 0..n-1 cover them all exactly when there are 2^n
-        if len(entries) != 1 << n:
+            spelled[canonical] = key
+        # distinct subsets of 0..n-1 cover them all exactly when there are
+        # 2^n; the bit length is compared first so a huge n costs nothing
+        if len(spelled).bit_length() != n + 1 or len(spelled) != 1 << n:
             raise ValidationError("flag vector must cover every subset exactly once")
-        return FlagVector(n, entries)
+        return FlagVector(n, tuple(entries[spelled[key]] for key in _subset_keys(n)))
 
 
-def subset_order(n: int) -> list[frozenset]:
-    subsets = []
-    for size in range(n + 1):
-        subsets.extend(frozenset(s) for s in combinations(range(n), size))
-    return subsets
+def _subset_keys(n: int) -> list[str]:
+    """The JSON key of every subset of {0..n-1}, indexed by its mask: the
+    members in increasing order, joined by commas."""
+    keys = [""]
+    for d in range(n):
+        keys += [f"{key},{d}" if key else str(d) for key in keys]
+    return keys
 
 
 def flag_vector(lattice: FaceLattice) -> FlagVector:
@@ -338,17 +343,18 @@ def flag_vector(lattice: FaceLattice) -> FlagVector:
                     m ^= low
                 rows.append(ps)
             inc[a, b] = rows
-    entries = {frozenset(): 1}
+    entries = [0] * (1 << n)
+    entries[0] = 1  # the empty chain
 
     def extend(prefix, last, vec):
         for d in range(last + 1, n):
             nxt = [sum(map(vec.__getitem__, ps)) for ps in inc[last, d]]
-            subset = prefix | {d}
-            entries[subset] = sum(nxt)
-            extend(subset, d, nxt)
+            mask = prefix | 1 << d
+            entries[mask] = sum(nxt)
+            extend(mask, d, nxt)
 
-    extend(frozenset(), -1, [1])
-    return FlagVector(n, entries)
+    extend(0, -1, [1])
+    return FlagVector(n, tuple(entries))
 
 
 def flag_rank(lattices) -> int:
@@ -356,12 +362,10 @@ def flag_rank(lattices) -> int:
     read one at a time."""
     rows = []
     for lattice in lattices:
-        if not rows:
-            n = lattice.dim
-            order = subset_order(n)
-        elif lattice.dim != n:
+        if rows and lattice.dim != n:
             raise DomainError(f"flag_rank needs equal dimensions, got {sorted({n, lattice.dim})}")
-        rows.append(flag_vector(lattice).as_row(order))
+        n = lattice.dim
+        rows.append(flag_vector(lattice).entries)
     if not rows:
         raise DomainError("flag_rank needs at least one lattice")
     return dense_rank(rows)
@@ -438,11 +442,8 @@ def _ic_word_rows(n: int):
 
 def ic_flag_vectors(n: int) -> list:
     """(word, FlagVector) for every word of length n over {I, C}, sorted
-    by word, computed from the word with no face lattice.  Every vector
-    keys its entries in the same order, by subset bitmask."""
-    rows = _ic_word_rows(n)
-    keys = [frozenset(d for d in range(n) if mask >> d & 1) for mask in range(1 << n)]
-    return sorted(((word, FlagVector(n, dict(zip(keys, row)))) for word, row in rows),
+    by word, computed from the word with no face lattice."""
+    return sorted(((word, FlagVector(n, tuple(row))) for word, row in _ic_word_rows(n)),
                   key=lambda pair: pair[0])
 
 

@@ -9,11 +9,10 @@ rational fitting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError
 from .exactla import ColumnReduction, _integral, solve_right
-from .facelattice import FlagVector, ic_flag_vectors, parse_word, subset_order
+from .facelattice import FlagVector, ic_flag_vectors, parse_word
 # not called here; perfbench/tracing.py still looks these names up on this module
 from .facelattice import dual, flag_vector  # noqa: F401
 
@@ -89,9 +88,9 @@ def ic_check(h) -> IcReport:
 class LinearFit:
     """Per-degree linear forms in the flag coordinates of dimension dim.
 
-    coefficients[k] lists one Fraction per subset of {0..dim-1} in
-    subset_order; applying form k to a flag vector reproduces entry k of
-    the training h-vectors.
+    coefficients[k] lists one Fraction per subset of {0..dim-1}, in the
+    order of FlagVector.entries; applying form k to a flag vector
+    reproduces entry k of the training h-vectors.
     """
 
     dim: int
@@ -102,18 +101,8 @@ class LinearFit:
             raise DomainError(
                 f"query has dimension {flag.dim}, fit has dimension {self.dim}"
             )
-        row = flag.as_row()
-        return tuple(sum(c * x for c, x in zip(coeff, row))
+        return tuple(sum(c * x for c, x in zip(coeff, flag.entries))
                      for coeff in self.coefficients)
-
-    def to_json(self) -> dict:
-        def encode(value):
-            value = Fraction(value)
-            if value.denominator == 1:
-                return int(value)
-            return f"{value.numerator}/{value.denominator}"
-        return {str(k): [encode(c) for c in coeff]
-                for k, coeff in enumerate(self.coefficients)}
 
 
 def _training_matrices(training):
@@ -127,8 +116,7 @@ def _training_matrices(training):
     lengths = {len(tuple(h)) for _, h in training}
     if len(lengths) != 1:
         raise DomainError("training h-vectors must share one length")
-    order = subset_order(n)
-    flags = [flag.as_row(order) for flag, _ in training]
+    flags = [flag.entries for flag, _ in training]
     hs = [list(h) for _, h in training]
     return n, flags, hs
 
@@ -174,7 +162,7 @@ def fit_and_predict(training, query: FlagVector):
     linear_fit = _solve(n, kept_flags, kept_hs)
     if query.dim != n:
         raise DomainError(f"query has dimension {query.dim}, training has dimension {n}")
-    pivot = span.add_column(dict(enumerate(_integral(query.as_row()), width)))
+    pivot = span.add_column(dict(enumerate(_integral(query.entries), width)))
     if pivot is not None and pivot >= width:
         raise DomainError("prediction not determined")
     return linear_fit.predict(query)
@@ -193,11 +181,8 @@ def ic_training_data(n: int):
     the word with its own polytope instead would fit the dual convention
     (octahedron -> (1, 5, 5, 1), the cube's generalized h-vector).
     """
-    # The dual's flag numbers are the polytope's with dimension d read as
-    # n-1-d.  The vectors share one key order, so the reversed keys are
-    # listed once; pairs replace the vectors in place, so one set is held.
+    # pairs replace the vectors in place, so one set of vectors is held
     pairs = ic_flag_vectors(n)
-    keys = [frozenset(n - 1 - d for d in s) for s in pairs[0][1].entries]
     for i, (word, flag) in enumerate(pairs):
-        pairs[i] = (FlagVector(n, dict(zip(keys, flag.entries.values()))), eval_word(word))
+        pairs[i] = (flag.dual(), eval_word(word))
     return pairs

@@ -80,6 +80,19 @@ def test_fit_refuses_a_query_off_the_training_span(capsys, tmp_path):
     assert err == "error: prediction not determined\n"
 
 
+def test_fit_refuses_a_query_of_another_dimension_before_training(
+        capsys, monkeypatch, tmp_path):
+    def refuse(n):
+        raise AssertionError("no training data may be built for a mismatched query")
+
+    monkeypatch.setattr(cli, "ic_training_data", refuse)
+    path = write_json(tmp_path, "octa_flag.json",
+                      flag_vector(from_simplicial_facets(OCTA_FACETS)).to_json())
+    code, out, err = run(capsys, ["fit", "--dim", "10", "--predict", path])
+    assert code == 1 and out == ""
+    assert err == "error: query has dimension 3, training has dimension 10\n"
+
+
 def test_ih(capsys, tmp_path):
     path = write_json(tmp_path, "st7.json", complex_to_json(by_name("susp_torus7")))
     code, out, err = run(capsys, ["ih", "--in", path])
@@ -196,9 +209,9 @@ def test_malformed_documents_exit_one_with_one_line(capsys, tmp_path, command, d
 
 def test_flag_vector_of_huge_dim_is_refused_without_listing_subsets(capsys, tmp_path, monkeypatch):
     def refuse(n):
-        raise AssertionError("subset_order must not run while parsing")
+        raise AssertionError("_subset_keys must not run before the count check")
 
-    monkeypatch.setattr(facelattice, "subset_order", refuse)
+    monkeypatch.setattr(facelattice, "_subset_keys", refuse)
     path = write_json(tmp_path, "huge.json", {"dim": 64, "entries": {}})
     code, out, err = run(capsys, ["fit", "--dim", "3", "--predict", path])
     assert code == 1 and out == ""

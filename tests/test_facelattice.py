@@ -1,4 +1,5 @@
 """Lattice construction, flag vectors, duality, serialization."""
+import tracemalloc
 from itertools import combinations
 from math import comb, factorial, prod
 
@@ -24,7 +25,6 @@ from strathom.facelattice import (
     lattice_to_json,
     parse_word,
     point,
-    subset_order,
 )
 
 OCTA_FACETS = [
@@ -55,21 +55,35 @@ def chain_counts(lattice):
     for i in sorted(lattice.ids, key=dim.get, reverse=True):
         for j in list(above[i]):
             above[i] |= above[j]
-    counts = {frozenset(s): 0 for k in range(n + 1) for s in combinations(range(n), k)}
+    counts = [0] * (1 << n)
 
-    def grow(dims, top):
-        counts[frozenset(dims)] += 1
+    def grow(mask, top):
+        counts[mask] += 1
         for face in above[top]:
             if dim[face] < n:
-                grow(dims + (dim[face],), face)
+                grow(mask | 1 << dim[face], face)
 
-    grow((), next(i for i in lattice.ids if dim[i] == -1))
-    return counts
+    grow(0, next(i for i in lattice.ids if dim[i] == -1))
+    return tuple(counts)
+
+
+def members(mask, n):
+    """The dimensions in the subset with bitmask mask, increasing."""
+    return [d for d in range(n) if mask >> d & 1]
+
+
+def by_subset(fv):
+    """The entries of fv keyed by the sorted tuple of their dimensions."""
+    return {tuple(members(mask, fv.dim)): v for mask, v in enumerate(fv.entries)}
 
 
 def reversed_entries(fv):
     """The entries of fv with every subset S replaced by {n-1-s : s in S}."""
-    return {frozenset(fv.dim - 1 - s for s in subset): v for subset, v in fv.entries.items()}
+    n = fv.dim
+    out = [0] * (1 << n)
+    for mask, v in enumerate(fv.entries):
+        out[sum(1 << (n - 1 - d) for d in members(mask, n))] = v
+    return tuple(out)
 
 
 def test_parse_word_accepts_ic_only():
@@ -119,24 +133,24 @@ def test_validation_catches_broken_posets():
 
 def test_square_flag_vector():
     fv = flag_vector(from_word("II"))
-    assert fv.entry(()) == 1
-    assert fv.entry({0}) == 4
-    assert fv.entry({1}) == 4
-    assert fv.entry({0, 1}) == 8
+    assert fv.entries[0b00] == 1
+    assert fv.entries[0b01] == 4
+    assert fv.entries[0b10] == 4
+    assert fv.entries[0b11] == 8
 
 
 def test_octahedron_flag_vector():
     fv = flag_vector(from_simplicial_facets(OCTA_FACETS))
     want = {(): 1, (0,): 6, (1,): 12, (2,): 8,
             (0, 1): 24, (0, 2): 24, (1, 2): 24, (0, 1, 2): 48}
-    assert {tuple(sorted(s)): v for s, v in fv.entries.items()} == want
+    assert by_subset(fv) == want
 
 
 def test_cube_flag_vector():
     fv = flag_vector(from_word("III"))
     want = {(): 1, (0,): 8, (1,): 12, (2,): 6,
             (0, 1): 24, (0, 2): 24, (1, 2): 24, (0, 1, 2): 48}
-    assert {tuple(sorted(s)): v for s, v in fv.entries.items()} == want
+    assert by_subset(fv) == want
 
 
 def test_dual_is_an_involution_and_swaps_cube_octahedron():
@@ -188,6 +202,8 @@ def test_flag_vector_json_roundtrip_and_validation():
     back = FlagVector.from_json(fv.to_json())
     assert back == fv
     doc = fv.to_json()
+    shuffled = {"dim": 2, "entries": dict(reversed(doc["entries"].items()))}
+    assert FlagVector.from_json(shuffled) == fv
     partial = {"dim": 2, "entries": {k: v for k, v in doc["entries"].items() if k}}
     with pytest.raises(ValidationError, match="every subset"):
         FlagVector.from_json(partial)
@@ -197,12 +213,23 @@ def test_flag_vector_json_roundtrip_and_validation():
 
 def test_flag_vector_size_is_checked_before_listing_subsets(monkeypatch):
     def refuse(n):
-        raise AssertionError("subset_order must not run while parsing")
+        raise AssertionError("_subset_keys must not run before the count check")
 
-    monkeypatch.setattr(facelattice, "subset_order", refuse)
+    monkeypatch.setattr(facelattice, "_subset_keys", refuse)
     with pytest.raises(ValidationError, match="every subset"):
         FlagVector.from_json({"dim": 64, "entries": {}})
 
+
+def test_flag_vector_count_check_costs_nothing_at_a_huge_dim():
+    # 1 << 10**8 alone would take 12 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="every subset"):
+            FlagVector.from_json({"dim": 10 ** 8, "entries": {"": 1}})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 @settings(deadline=None, max_examples=30)
 @given(st.text(alphabet="IC", min_size=1, max_size=5))
@@ -219,10 +246,10 @@ def test_flag_entries_grow_under_refinement(word):
     # so the chain count can only grow when j is added to S.
     fv = flag_vector(from_word(word))
     n = fv.dim
-    for s in subset_order(n):
+    for mask in range(1 << n):
         for j in range(n):
-            if j not in s:
-                assert fv.entry(s | {j}) >= fv.entry(s)
+            if not mask >> j & 1:
+                assert fv.entries[mask | 1 << j] >= fv.entries[mask]
 
 
 FIXED_LATTICES = {
@@ -250,8 +277,8 @@ def test_flag_vector_counts_every_chain_of_ic_polytopes(word):
 def test_flag_vector_of_cube7_is_the_closed_form():
     n = 7
     fv = flag_vector(from_word("I" * n))
-    for subset, value in fv.entries.items():
-        s = sorted(subset)
+    for mask, value in enumerate(fv.entries):
+        s = members(mask, n)
         want = 1
         if s:
             want = comb(n, s[-1]) * 2 ** (n - s[-1]) * prod(
@@ -265,8 +292,8 @@ def test_flag_vector_of_cyclic_12_8_is_the_closed_form():
     fv = flag_vector(from_simplicial_facets(facets))
     f = [len({face for facet in facets for face in combinations(facet, k + 1)})
          for k in range(8)]
-    for subset, value in fv.entries.items():
-        s = sorted(subset)
+    for mask, value in enumerate(fv.entries):
+        s = members(mask, 8)
         want = 1
         if s:
             want = f[s[-1]] * prod(comb(b + 1, a + 1) for a, b in zip(s, s[1:]))
@@ -280,6 +307,14 @@ def test_dual_flag_vector_reverses_the_dimensions(name):
     assert flag_vector(dual(lattice)).entries == reversed_entries(flag_vector(lattice))
 
 
+@pytest.mark.parametrize("name", sorted(FIXED_LATTICES))
+def test_bit_reversal_gives_the_dual_lattice_flag_vector(name):
+    lattice = FIXED_LATTICES[name]()
+    fv = flag_vector(lattice)
+    assert fv.dual() == flag_vector(dual(lattice))
+    assert fv.dual().dual() == fv
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.text(alphabet="IC", min_size=1, max_size=6))
 def test_dual_flag_vector_reverses_the_dimensions_of_ic_polytopes(word):
@@ -289,9 +324,9 @@ def test_dual_flag_vector_reverses_the_dimensions_of_ic_polytopes(word):
 
 def test_flag_vector_of_point_and_segment():
     fv = flag_vector(point())
-    assert fv.dim == 0 and fv.entries == {frozenset(): 1}
+    assert fv.dim == 0 and fv.entries == (1,)
     fv = flag_vector(from_word("I"))
-    assert fv.dim == 1 and fv.entries == {frozenset(): 1, frozenset({0}): 2}
+    assert fv.dim == 1 and fv.entries == (1, 2)
 
 
 def test_word_flag_vectors_equal_the_lattice_flag_vectors():
@@ -303,25 +338,24 @@ def test_word_flag_vectors_equal_the_lattice_flag_vectors():
             lattice = from_word(word)
             assert fv == flag_vector(lattice), word
             # the dual's flag numbers are these with dimension d read as n-1-d
-            dv = {frozenset(n - 1 - d for d in s): v for s, v in fv.entries.items()}
-            assert FlagVector(n, dv) == flag_vector(dual(lattice)), word
+            assert FlagVector(n, reversed_entries(fv)) == flag_vector(dual(lattice)), word
 
 
 def test_word_flag_vectors_of_cube_and_simplex_are_the_closed_forms():
     for n in range(1, 11):
         vectors = dict(ic_flag_vectors(n))
         cube, simplex = vectors["I" * n], vectors["C" * n]
-        for subset in subset_order(n):
-            s = sorted(subset)
+        for mask in range(1 << n):
+            s = members(mask, n)
             if not s:
-                assert cube.entry(s) == simplex.entry(s) == 1
+                assert cube.entries[mask] == simplex.entries[mask] == 1
                 continue
             # cube: a face of dimension b of the b-cube has comb(b, a) 2^(b-a) faces of dimension a
-            assert cube.entry(s) == comb(n, s[-1]) * 2 ** (n - s[-1]) * prod(
+            assert cube.entries[mask] == comb(n, s[-1]) * 2 ** (n - s[-1]) * prod(
                 comb(b, a) * 2 ** (b - a) for a, b in zip(s, s[1:])), (n, s)
             # simplex: nested vertex sets of sizes s_1+1 < ... < s_k+1 out of n+1
             sizes = [0] + [d + 1 for d in s] + [n + 1]
-            assert simplex.entry(s) == factorial(n + 1) // prod(
+            assert simplex.entries[mask] == factorial(n + 1) // prod(
                 factorial(b - a) for a, b in zip(sizes, sizes[1:])), (n, s)
 
 

@@ -14,7 +14,6 @@ from strathom.facelattice import (
     from_simplicial_facets,
     from_word,
     ic_words,
-    subset_order,
 )
 from strathom.hcalc import (
     eval_word,
@@ -117,12 +116,6 @@ def test_fit_predicts_cube_and_polygons():
     assert fit_and_predict(training2, pentagon) == simplicial_h_vector(PENTAGON_FACETS)
 
 
-def test_fit_json_shape():
-    forms = fit(ic_training_data(3)).to_json()
-    assert sorted(forms) == ["0", "1", "2", "3"]
-    assert all(len(coeffs) == 8 for coeffs in forms.values())
-
-
 def test_fit_rejects_bad_training_and_queries():
     with pytest.raises(DomainError, match="at least one"):
         fit([])
@@ -153,16 +146,15 @@ def span_weights(flags, query):
 ])
 def test_prediction_is_the_span_combination_of_training_h_vectors(n, query):
     training = ic_training_data(n)
-    order = subset_order(n)
-    flags = [flag.as_row(order) for flag, _ in training]
+    flags = [flag.entries for flag, _ in training]
     hs = [h for _, h in training]
     q = flag_vector(query())
-    weights = span_weights(flags, q.as_row(order))
+    weights = span_weights(flags, q.entries)
     want = tuple(sum(w * h[k] for w, h in zip(weights, hs)) for k in range(n + 1))
     assert fit_and_predict(training, q) == want
     # every relation among the training flag vectors holds among their
     # h-vectors, so the combination does not depend on the weights chosen
-    relations = nullspace([[row[i] for row in flags] for i in range(len(order))], len(flags))
+    relations = nullspace([[row[i] for row in flags] for i in range(2 ** n)], len(flags))
     assert relations
     for rel in relations:
         assert all(sum(r * h[k] for r, h in zip(rel, hs)) == 0 for k in range(n + 1))
@@ -172,11 +164,11 @@ def test_prediction_undetermined_off_the_span():
     # Flag vectors of polytopes satisfy linear relations; bumping one
     # coordinate leaves the training span and the prediction must refuse.
     octa = flag_vector(from_simplicial_facets(OCTA_FACETS))
-    bumped = dict(octa.entries)
-    bumped[frozenset({0})] += 1
+    bumped = list(octa.entries)
+    bumped[0b001] += 1
     with pytest.raises(DomainError, match="not determined"):
-        fit_and_predict(ic_training_data(3), FlagVector(3, bumped))
-    ones = FlagVector(3, {subset: 1 for subset in subset_order(3)})
+        fit_and_predict(ic_training_data(3), FlagVector(3, tuple(bumped)))
+    ones = FlagVector(3, (1,) * 8)
     with pytest.raises(DomainError, match="prediction not determined"):
         fit_and_predict(ic_training_data(3), ones)
 
@@ -212,8 +204,8 @@ def test_fit_refuses_training_with_one_bumped_h_vector(index):
 def test_prediction_of_a_combination_is_the_combination_of_h_vectors(case):
     n, coeffs = case
     training = ic_training_data(n)
-    query = FlagVector(n, {s: sum(c * flag.entries[s] for c, (flag, _) in zip(coeffs, training))
-                           for s in subset_order(n)})
+    query = FlagVector(n, tuple(sum(c * flag.entries[m] for c, (flag, _) in zip(coeffs, training))
+                                for m in range(2 ** n)))
     want = tuple(sum(c * h[k] for c, (_, h) in zip(coeffs, training)) for k in range(n + 1))
     assert fit_and_predict(training, query) == want
 
@@ -232,7 +224,7 @@ def test_fit_and_predict_takes_rational_pairs():
     assert fit_and_predict(thirds, octa) == (Fraction(1, 3), 1, 1, Fraction(1, 3))
     halves = [(flag, tuple(v / 2 for v in h)) for flag, h in ic_training_data(3)]
     assert fit_and_predict(halves, octa) == (0.5, 1.5, 1.5, 0.5)
-    half_octa = FlagVector(3, {s: Fraction(v, 2) for s, v in octa.entries.items()})
+    half_octa = FlagVector(3, tuple(Fraction(v, 2) for v in octa.entries))
     assert fit_and_predict(ic_training_data(3), half_octa) == (Fraction(1, 2), Fraction(3, 2),
                                                                Fraction(3, 2), Fraction(1, 2))
     flag, h = thirds[5]
