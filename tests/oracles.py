@@ -140,15 +140,23 @@ def naive_ordinary_betti(maximal):
 
 
 def naive_ih_betti(strata, maximal, perversity):
-    """Intersection homology ranks from explicit chain bases.
+    """Intersection homology ranks; see naive_ih_report."""
+    return naive_ih_report(strata, maximal, perversity)[0]
+
+
+def naive_ih_report(strata, maximal, perversity):
+    """(ranks, cycles, boundaries) of intersection homology per degree,
+    from explicit chain bases.
 
     Works over the allowable simplices, builds the subspace of chains with
     allowable boundary as an explicit nullspace basis, and takes ranks of
-    images by dense elimination.  perversity is a callable c -> p(c).
+    images by dense elimination.  cycles counts the kernel of the boundary
+    on allowable chains, boundaries the image of the admissible chains one
+    degree up.  perversity is a callable c -> p(c).
     """
     faces = _closure(maximal)
     if not faces:
-        return ()
+        return (), (), ()
     m = max(len(f) for f in faces) - 1
     by_dim = {i: sorted(f for f in faces if len(f) == i + 1) for i in range(m + 1)}
 
@@ -188,7 +196,7 @@ def naive_ih_betti(strata, maximal, perversity):
                     mat[bad_ix[face]][c] = Fraction(sign)
         return nullspace(mat, len(cols))
 
-    betti = []
+    betti, cycles, boundaries = [], [], []
     for i in range(m + 1):
         cols = allowed[i]
         rows_ix = {f: r for r, f in enumerate(by_dim.get(i - 1, []))}
@@ -210,8 +218,11 @@ def naive_ih_betti(strata, maximal, perversity):
                 for f, coef in img.items():
                     row[col_ix[f]] = coef
                 images.append(row)
-        betti.append(kernel_dim - dense_rank(images))
-    return tuple(betti)
+        image_dim = dense_rank(images)
+        betti.append(kernel_dim - image_dim)
+        cycles.append(kernel_dim)
+        boundaries.append(image_dim)
+    return tuple(betti), tuple(cycles), tuple(boundaries)
 
 
 # ------------------------------------------------------- local-global cells

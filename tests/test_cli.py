@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exact JSON bytes, exit codes, determinism."""
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -205,6 +206,60 @@ def test_malformed_documents_exit_one_with_one_line(capsys, tmp_path, command, d
     code, out, err = run(capsys, argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_FUZZ_VALUES = [None, True, False, 0, 1, 2, 3, -1, 10 ** 20, 0.5, "", "x", "middle", [], {}, [[]],
+                {"2": 0}, {"2": 1}]
+
+
+def _mutated(node, rng, names):
+    """A copy of a JSON value with one random edit somewhere inside it: an
+    entry dropped, repeated or renamed, an integer shifted, or a value
+    replaced by a vertex name or an odd JSON value."""
+    if isinstance(node, (dict, list)) and node and rng.random() < 0.75:
+        out = dict(node) if isinstance(node, dict) else list(node)
+        key = rng.choice(list(out) if isinstance(out, dict) else range(len(out)))
+        r = rng.random()
+        if r < 0.15:
+            del out[key]
+        elif r < 0.25 and isinstance(out, list):
+            out.insert(rng.randrange(len(out) + 1), out[key])
+        elif r < 0.3 and isinstance(out, dict):
+            out[rng.choice(names)] = out[key]
+        else:
+            out[key] = _mutated(node[key], rng, names)
+        return out
+    if type(node) is int and rng.random() < 0.5:
+        return node + rng.choice((-2, -1, 1, 2))
+    return rng.choice(names + _FUZZ_VALUES if rng.random() < 0.5 else _FUZZ_VALUES)
+
+
+def test_mutated_complex_documents_exit_zero_or_one(capsys, tmp_path):
+    # a regression guard: every input either computes or is refused with
+    # one line, never a traceback (exit 2) or an escaping exception
+    rng = random.Random(20261018)
+    docs = [complex_to_json(by_name(name)) for name in ("cone_hexagon", "wedge", "susp_hexagon")]
+    path = str(tmp_path / "doc.json")
+    codes = []
+    for _ in range(300):
+        doc = rng.choice(docs)
+        names = list(doc["vertices"])
+        for _ in range(rng.randint(1, 3)):
+            doc = _mutated(doc, rng, names)
+        write_json(tmp_path, "doc.json", doc)
+        lg = ["lg", "--in", path, "--dim-seq", f"{rng.randint(0, 1)},0", "--w", str(rng.randint(0, 2))]
+        for argv in (["ih", "--in", path], lg):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert code in (0, 1), (argv, doc, err)
+            if code == 1:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (doc, err)
+            codes.append(code)
+    # the edits leave some documents valid, so the computations are reached too
+    assert codes.count(0) >= 30 and codes.count(1) >= 30
 
 
 def test_flag_vector_of_huge_dim_is_refused_without_listing_subsets(capsys, tmp_path, monkeypatch):

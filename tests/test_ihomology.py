@@ -2,9 +2,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import naive_ih_betti, naive_ordinary_betti
-from strathom.complexes import Perversity, StratifiedComplex, barycentric_subdivision
+from oracles import naive_ih_betti, naive_ih_report, naive_ordinary_betti
+from random_complexes import small_complexes
+from strathom.complexes import (
+    Perversity,
+    StratifiedComplex,
+    allowable_simplex,
+    barycentric_subdivision,
+)
 from strathom.corpus import CORPUS, by_name
+from strathom.exactla import ColumnReduction
 from strathom.ihomology import BettiReport, chain_spaces, ih_ranks
 
 EXPECTED_MIDDLE = {
@@ -101,3 +108,58 @@ def test_labels_at_or_above_top_dimension_are_interchangeable(labels):
     k = by_name("torus7")
     relabeled = k.with_strata({v: l for v, l in zip(sorted(k.vertices), labels)})
     assert ih_ranks(relabeled).ranks == (1, 2, 1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_complexes())
+def test_ih_report_matches_the_oracle_on_random_complexes(k):
+    strata, maximal = _oracle_inputs(k)
+    rep = ih_ranks(k)
+    assert (rep.ranks, rep.cycles, rep.boundaries) == naive_ih_report(strata, maximal, k.perversity)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: by_name("susp_torus7"),
+    lambda: by_name("susp_torus7").with_perversity(Perversity((0, 1))),
+    lambda: barycentric_subdivision(by_name("cone_hexagon")),
+], ids=["susp_torus7-middle", "susp_torus7-upper", "sd-cone_hexagon"])
+def test_clearing_skips_every_column_an_upper_pivot_proves_zero(monkeypatch, build):
+    # In degree i the allowable i-simplices hit by a degree-(i+1) pivot on
+    # an allowable row are exactly boundaries[i] many, and none of them is fed.
+    k = build()
+    calls = 0
+    add_column = ColumnReduction.add_column
+
+    def counted(self, col):
+        nonlocal calls
+        calls += 1
+        return add_column(self, col)
+
+    monkeypatch.setattr(ColumnReduction, "add_column", counted)
+    rep = ih_ranks(k)
+    sizes = [len(space.basis) for space in chain_spaces(k)]
+    assert sum(rep.boundaries[1:]) > 0
+    assert calls == sum(sizes[i] - rep.boundaries[i] for i in range(1, k.dim + 1))
+
+
+def _every_perversity(m):
+    """All perversities on codimensions 2..m: p(2) = 0, steps of 0 or 1."""
+    out = [()] if m < 2 else [(0,)]
+    for _ in range(m - 2):
+        out = [p + (p[-1] + step,) for p in out for step in (0, 1)]
+    return [Perversity(p) for p in out]
+
+
+@pytest.mark.parametrize("subdivided", [False, True], ids=["plain", "sd"])
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+def test_chain_spaces_keep_exactly_the_allowable_simplices(entry, subdivided):
+    k = entry()
+    if subdivided:
+        k = barycentric_subdivision(k)
+    # the middle perversity is one of them
+    for perversity in _every_perversity(k.dim):
+        k = k.with_perversity(perversity)
+        spaces = chain_spaces(k)
+        assert [space.degree for space in spaces] == list(range(k.dim + 1))
+        for i, space in enumerate(spaces):
+            assert space.basis == tuple(f for f in k.simplices_of_dim(i) if allowable_simplex(k, f))

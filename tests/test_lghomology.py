@@ -1,6 +1,4 @@
 """Cells of shape (i,0) and (i,1), allowability with w-constraints, rank oracle checks."""
-from itertools import combinations
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +10,8 @@ from oracles import (
     _lg_prism_cells,
     naive_lg_rank,
 )
-from strathom.complexes import Perversity, StratifiedComplex, barycentric_subdivision
+from random_complexes import small_complexes
+from strathom.complexes import StratifiedComplex, barycentric_subdivision
 from strathom.corpus import by_name, small_members
 from strathom.errors import ValidationError
 from strathom.lghomology import (
@@ -247,30 +246,8 @@ def test_lg_ranks_match_brute_force_oracle(name, i, w1, expected):
     assert live == naive_lg_rank(strata, maximal, k.perversity, i, w1) == expected
 
 
-@st.composite
-def _small_complexes(draw):
-    """Complexes on at most five vertices, of dimension at most three, whose
-    random labels are raised until they pass the filtration check, under a
-    random perversity."""
-    names = "abcde"[:draw(st.integers(min_value=1, max_value=5))]
-    facets = draw(st.lists(st.sets(st.sampled_from(names), min_size=1, max_size=4),
-                           min_size=1, max_size=4))
-    facets += [{v} for v in names if not any(v in f for f in facets)]
-    m = max(map(len, facets)) - 1
-    labels = {v: draw(st.integers(min_value=0, max_value=m + 1)) for v in names}
-    # raising labels only ever mends a simplex, so one pass suffices
-    for f in {c for f in facets for r in range(2, len(f) + 1) for c in combinations(sorted(f), r)}:
-        top = max(labels[v] for v in f)
-        if top < m and len(f) - 1 > top:
-            labels.update((v, max(labels[v], len(f) - 1)) for v in f)
-    values = [0] if m >= 2 else []
-    for _ in range(m - 2):
-        values.append(values[-1] + draw(st.integers(min_value=0, max_value=1)))
-    return StratifiedComplex(labels, facets, Perversity(tuple(values)))
-
-
 @settings(deadline=None, max_examples=25)
-@given(_small_complexes(), st.data())
+@given(small_complexes(), st.data())
 def test_lg_ranks_match_the_oracle_on_random_complexes(k, data):
     # The cell counts pin the allowability down as well: on small
     # complexes the rank alone rarely depends on it.
