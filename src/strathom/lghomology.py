@@ -369,8 +369,13 @@ def lg_ranks(k: StratifiedComplex, i: int, w) -> LgReport:
     assembled from allowed (i+1,0) and (i,1) cells: a combination qualifies
     when its boundary components off the allowed (i,0) cells cancel, and B
     is what it leaves on them.  Rows of allowed (i,0) cells come first, so
-    one column reduction yields both the full rank and the rank of the
-    constraint block as a suffix rank; dim B is their difference.
+    a reduced column with its pivot among them has no stray part, and the
+    count of such pivots is dim B of the columns fed so far.
+
+    B lies in Z: once the stray parts cancel, what a combination leaves is
+    its whole boundary, a cycle because the boundary squares to zero.
+    Column operations never remove a pivot, so that count only grows, and
+    feeding stops once it reaches dim Z; the cells left are only counted.
     """
     if not isinstance(w, WSequence):
         w = WSequence(tuple(w))
@@ -400,10 +405,14 @@ def lg_ranks(k: StratifiedComplex, i: int, w) -> LgReport:
 
     stray = {}
     bred = ColumnReduction()
+    boundaries = 0
     counts = [n_allowed]
     for base_dim, j in ((i + 1, 0), (i, 1)):
         n = 0
         for simplex, _, terms in _allowed_cells(k, base_dim, j, w1):
+            n += 1
+            if boundaries == cycles:
+                continue
             col = {}
             for cj, cpick, coef in terms:
                 child = cj, cpick(simplex)
@@ -411,10 +420,10 @@ def lg_ranks(k: StratifiedComplex, i: int, w) -> LgReport:
                 if r is None:
                     r = n_allowed + stray.setdefault(child, len(stray))
                 col[r] = coef
-            bred.add_column(col)
-            n += 1
+            low = bred.add_column(col)
+            if low is not None and low < n_allowed:
+                boundaries += 1
         counts.append(n)
-    boundaries = bred.rank - bred.rank_on_suffix(n_allowed)
 
     assert 0 <= boundaries <= cycles, "boundary space escaped the cycle space"
     return LgReport(

@@ -1,7 +1,7 @@
 """Independent cross-check implementations used to pin expected values.
 
-Everything here is deliberately naive: dense matrices of Fractions, row
-reduction written out by hand, cell enumeration spelled directly from the
+Everything here is deliberately naive: dense matrices, row reduction
+written out by hand, cell enumeration spelled directly from the
 definitions.  Nothing imports the package's linear algebra or chain
 assembly, so agreement is evidence rather than tautology.  Slow is fine;
 these only ever run on desk-sized inputs.
@@ -9,33 +9,55 @@ these only ever run on desk-sized inputs.
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 
 
 # ----------------------------------------------------------- linear algebra
 
 
+def _integer_row(row):
+    """A positive multiple of a row of integers and Fractions, in integers."""
+    m = lcm(1, *(x.denominator for x in row))
+    return [x.numerator * (m // x.denominator) for x in row]
+
+
+def _primitive(row):
+    g = gcd(*row)
+    return row if g < 2 else [x // g for x in row]
+
+
 def row_reduce(rows):
-    """In-place forward elimination over Fraction; returns the rank."""
-    rows = [[Fraction(x) for x in r] for r in rows]
+    """Gauss-Jordan elimination; returns the rank and the reduced rows.
+
+    Rows are scaled to integers and kept primitive, and a row is cleared by
+    an integer combination with the pivot row.  Scaling a row changes no
+    row space, so the reduced row echelon form, returned as Fractions with
+    pivots 1 and zero rows last, is the one exact rational elimination gives.
+    """
+    rows = [_integer_row(r) for r in rows]
     if not rows:
         return 0, []
     ncols = len(rows[0])
-    rank = 0
+    pivots = []
     for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col]
-        rows[rank] = [x / inv for x in rows[rank]]
+        prow = rows[rank]
+        p = prow[col]
         for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
+            if r != rank and rows[r][col]:
+                g = gcd(p, rows[r][col])
+                a, b = p // g, rows[r][col] // g
+                rows[r] = _primitive([a * x - b * y for x, y in zip(rows[r], prow)])
+        pivots.append(col)
+        if len(pivots) == len(rows):
             break
-    return rank, rows
+    reduced = [[Fraction(x, row[col]) for x in row] for row, col in zip(rows, pivots)]
+    reduced += [[Fraction(0)] * ncols for _ in rows[len(pivots):]]
+    return len(pivots), reduced
 
 
 def dense_rank(rows):

@@ -14,6 +14,7 @@ from random_complexes import small_complexes
 from strathom.complexes import StratifiedComplex, barycentric_subdivision
 from strathom.corpus import by_name, small_members
 from strathom.errors import ValidationError
+from strathom.exactla import ColumnReduction
 from strathom.lghomology import (
     Cell,
     WSequence,
@@ -258,12 +259,37 @@ def test_lg_ranks_match_the_oracle_on_random_complexes(k, data):
     def allowed(cells):
         return sum(1 for c in cells if _lg_allowed(c, strata, k.dim, k.perversity, w1))
 
-    for i in (0, 1) if k.dim <= 1 else (0,):
+    for i in (0, 1) if k.dim <= 2 else (0,):
         report = lg_ranks(k, i, (w1,))
         assert report.rank == naive_lg_rank(strata, maximal, k.perversity, i, w1)
         assert list(report.cells.values()) == [
             allowed(_lg_cone_cells(simplices, i)), allowed(_lg_cone_cells(simplices, i + 1)),
             allowed(_lg_prism_cells(simplices, i))]
+
+
+def test_boundary_columns_stop_once_they_span_the_cycles(monkeypatch):
+    # At i = 1 the group vanishes and B spans Z within the (2,0) columns,
+    # so no (1,1) prism is fed; at i = 0 it does not, and every allowed
+    # cell is fed.
+    sd = barycentric_subdivision(by_name("cone_hexagon"))
+    calls = 0
+    add_column = ColumnReduction.add_column
+
+    def counted(self, col):
+        nonlocal calls
+        calls += 1
+        return add_column(self, col)
+
+    monkeypatch.setattr(ColumnReduction, "add_column", counted)
+    vanishing = lg_ranks(sd, 1, (0,))
+    assert vanishing.rank == 0
+    assert vanishing.cells == {"(1,0)": 180, "(2,0)": 108, "(1,1)": 9396}
+    assert calls <= vanishing.cells["(1,0)"] + vanishing.cells["(2,0)"]
+    calls = 0
+    nonzero = lg_ranks(sd, 0, (0,))
+    assert nonzero.rank == 1
+    assert nonzero.cells == {"(0,0)": 132, "(1,0)": 180, "(0,1)": 1632}
+    assert calls == sum(nonzero.cells.values()) == 1944
 
 
 def test_lg_ranks_validation_and_empty_complex():
