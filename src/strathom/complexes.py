@@ -329,7 +329,7 @@ def complex_from_json(doc) -> StratifiedComplex:
         isinstance(f, list) and all(isinstance(v, str) for v in f) for f in maximal
     ):
         raise ValidationError("'maximal_simplices' must be a list of lists of vertex names")
-    m_guess = max((len(f) for f in maximal), default=0) - 1
+    m_guess = max((len(set(f)) for f in maximal), default=0) - 1
     perversity = Perversity.from_json(doc.get("perversity", "middle"), m_guess)
     k = StratifiedComplex(strata, maximal, perversity)
     if k.dim != doc["dim"]:

@@ -2,9 +2,10 @@
 
 Rank decisions in this package are never made in floating point.  Every
 rank, of a sparse boundary matrix or of a dense integer matrix, and the
-span test of a flag-vector prediction, goes through one integer column
-reduction; solving the flag-vector fit alone goes through integer
-Gauss-Jordan elimination, with Fractions only in the solutions.
+flag-vector prediction with its consistency and span tests, goes through
+one integer column reduction.  solve_right (integer Gauss-Jordan
+elimination, with Fractions only in the solutions) has no caller in the
+package; perfbench/tracing.py still looks it up on hcalc.
 """
 from __future__ import annotations
 
@@ -33,13 +34,6 @@ class ColumnReduction:
     {row: coefficient} dicts.  Reduction keeps at most one stored column
     per pivot row, so the number of stored pivots is the rank of
     everything fed so far.
-
-    Row-suffix ranks come for free: column operations mix columns the
-    same way in every row block, and a reduced column whose pivot (its
-    largest nonzero row) lies above a suffix is identically zero on that
-    suffix.  Hence for any r0 the pivots with row >= r0 are exactly a
-    column basis of the submatrix on rows [r0, nrows), and
-    rank_on_suffix(r0) is its rank.
     """
 
     def __init__(self) -> None:
@@ -81,8 +75,9 @@ class ColumnReduction:
     def rank(self) -> int:
         return len(self._pivots)
 
-    def rank_on_suffix(self, first_row: int) -> int:
-        return sum(1 for r in self._pivots if r >= first_row)
+    def pivot_column(self, row: int) -> dict[int, int]:
+        """A copy of the stored reduced column whose pivot is row."""
+        return dict(self._pivots[row])
 
 
 def dense_rank(rows) -> int:

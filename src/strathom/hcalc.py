@@ -3,17 +3,19 @@
 Rule I is convolution with (1, 1); rule C repeats the middle entry of a
 palindromic vector.  Evaluating a word over {I, C} on the vector (1)
 mirrors building the polytope from a point, and the resulting h-vector
-is a linear function of the flag vector, recovered here by exact
-rational fitting.
+is a linear function of the flag vector, evaluated on a query from
+training pairs by one integer column reduction.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DomainError
-from .exactla import ColumnReduction, _integral, solve_right
+from .exactla import ColumnReduction, _integral
 from .facelattice import FlagVector, ic_flag_vectors, parse_word
 # not called here; perfbench/tracing.py still looks these names up on this module
+from .exactla import solve_right  # noqa: F401
 from .facelattice import dual, flag_vector  # noqa: F401
 
 
@@ -84,88 +86,52 @@ def ic_check(h) -> IcReport:
 # ------------------------------------------------------------------ fit
 
 
-@dataclass(frozen=True)
-class LinearFit:
-    """Per-degree linear forms in the flag coordinates of dimension dim.
-
-    coefficients[k] lists one Fraction per subset of {0..dim-1}, in the
-    order of FlagVector.entries; applying form k to a flag vector
-    reproduces entry k of the training h-vectors.
-    """
-
-    dim: int
-    coefficients: tuple
-
-    def predict(self, flag: FlagVector):
-        if flag.dim != self.dim:
-            raise DomainError(
-                f"query has dimension {flag.dim}, fit has dimension {self.dim}"
-            )
-        return tuple(sum(c * x for c, x in zip(coeff, flag.entries))
-                     for coeff in self.coefficients)
-
-
-def _training_matrices(training):
-    training = list(training)
+def _training_shape(training):
+    """Validate the training pairs; return (dim, h-vector length)."""
     if not training:
         raise DomainError("fit needs at least one training pair")
     dims = {flag.dim for flag, _ in training}
     if len(dims) != 1:
         raise DomainError(f"training flag vectors must share one dimension, got {sorted(dims)}")
-    n = dims.pop()
     lengths = {len(tuple(h)) for _, h in training}
     if len(lengths) != 1:
         raise DomainError("training h-vectors must share one length")
-    flags = [flag.entries for flag, _ in training]
-    hs = [list(h) for _, h in training]
-    return n, flags, hs
-
-
-def _solve(n, flags, hs) -> LinearFit:
-    solutions = solve_right(flags, hs)
-    if solutions is None:
-        raise DomainError("no linear function fits")
-    return LinearFit(n, tuple(tuple(s) for s in solutions))
-
-
-def fit(training) -> LinearFit:
-    """Solve for linear forms taking each training flag vector to its
-    h-vector; raises if the training data admits no such forms."""
-    return _solve(*_training_matrices(training))
+    return dims.pop(), lengths.pop()
 
 
 def fit_and_predict(training, query: FlagVector):
-    """Fit linear forms on the training pairs and apply them to query.
+    """The h-vector that every linear function fitting the training pairs
+    assigns to query, defined when query = sum c_j flag_j lies in the
+    span of the training flag vectors: by linearity it is sum c_j h_j.
 
-    The prediction is only defined when query lies in the rational span
-    of the training flag vectors, query = sum c_j flag_j; then every
-    choice of forms gives sum c_j h_j, by linearity.
+    One integer ColumnReduction decides it all.  Row 0 is a tag row,
+    rows 1..w hold h and the flag entries lie above; a pivot is the
+    largest nonzero row, which scaling to integers does not move.  Each
+    pair is fed as [0 | h | flag], and one that reduces to zero is
+    dropped.  A pivot at a row <= w leaves zero flag part and nonzero h
+    part: a flag relation the h-vectors break, so no linear function
+    fits.  Otherwise every stored pivot is above w and 0 on the tag row.
 
-    Each pair enters one integer ColumnReduction as the column
-    [h | flag], with the h entries at the low rows, scaled to integers
-    (which moves no pivot).  A pair whose column reduces to zero repeats
-    an earlier combination exactly and is dropped; the forms are solved
-    on the others only.  Those include a basis of the span, plus any
-    pair whose flag vector is a combination of earlier ones but whose
-    h-vector is not, and on which no linear function fits.  The query,
-    fed as [0 | flag], lies in the span exactly when its pivot does not
-    land in the flag block.
+    The query is fed as [1 | 0 | query].  Reduction only multiplies its
+    tag entry by nonzero factors and subtracts columns that are 0 there,
+    so the column never vanishes.  A pivot above w puts query off the
+    span.  Otherwise the stored column is lambda * [1 | -prediction | 0]
+    with lambda != 0; a pivot on row 0 means the prediction is 0.
     """
-    n, flags, hs = _training_matrices(training)
-    width = len(hs[0])
+    training = list(training)
+    n, w = _training_shape(training)
     span = ColumnReduction()
-    kept_flags, kept_hs = [], []
-    for flag, h in zip(flags, hs):
-        if span.add_column(dict(enumerate(_integral([*h, *flag])))) is not None:
-            kept_flags.append(flag)
-            kept_hs.append(h)
-    linear_fit = _solve(n, kept_flags, kept_hs)
+    for flag, h in training:
+        pivot = span.add_column(dict(enumerate(_integral([0, *h, *flag.entries]))))
+        if pivot is not None and pivot <= w:
+            raise DomainError("no linear function fits")
     if query.dim != n:
         raise DomainError(f"query has dimension {query.dim}, training has dimension {n}")
-    pivot = span.add_column(dict(enumerate(_integral(query.entries), width)))
-    if pivot is not None and pivot >= width:
+    pivot = span.add_column(dict(enumerate(_integral([1, *[0] * w, *query.entries]))))
+    if pivot > w:
         raise DomainError("prediction not determined")
-    return linear_fit.predict(query)
+    col = span.pivot_column(pivot)
+    return tuple(Fraction(-col.get(k, 0), col[0]) for k in range(1, w + 1))
 
 
 def ic_training_data(n: int):

@@ -15,8 +15,10 @@ dimension as a rank difference:
     dim d(IC_{i+1})        = rank [N_{i+1}; D_{i+1}] - rank N_{i+1}
 
 so b_i needs two ranks per degree.  One integer column reduction per
-degree delivers both: with allowable rows indexed first, rank N_i is
-the number of pivots in the non-allowable row suffix.
+degree delivers both: its pivots number rank [N_i; D_i].  Allowable
+rows are indexed first, and a reduced column whose pivot (largest
+nonzero row) is allowable vanishes on N_i; so the pivots in the
+allowable block number rank [N_i; D_i] - rank N_i = dim d(IC_i).
 
 Degrees are reduced from the top down, with clearing (Chen-Kerber,
 "Persistent homology computation with a twist", 2011).  A degree-(i+1)
@@ -81,8 +83,8 @@ def ih_ranks(k: StratifiedComplex) -> BettiReport:
     if m < 0:
         return BettiReport((), (), (), k.perversity)
     spaces = chain_spaces(k)
-    rank_nd = [0] * (m + 2)
-    rank_n = [0] * (m + 2)
+    rank_nd = [0] * (m + 1)
+    boundaries = [0] * (m + 1)
     # cleared[j]: the j-th allowable i-simplex's column is known to reduce to zero
     cleared = bytearray(len(spaces[m].basis))
     for i in range(m, 0, -1):
@@ -98,16 +100,9 @@ def ih_ranks(k: StratifiedComplex) -> BettiReport:
                                   for l in range(len(simplex))})
             if low is not None and low < n_allowed:
                 below[low] = 1
-        rank_nd[i], rank_n[i] = red.rank, red.rank_on_suffix(n_allowed)
+        rank_nd[i], boundaries[i - 1] = red.rank, below.count(1)
         cleared = below
         del red, rows
-    cycles = []
-    boundaries = []
-    ranks = []
-    for i in range(m + 1):
-        z = len(spaces[i].basis) - rank_nd[i]
-        b = rank_nd[i + 1] - rank_n[i + 1]
-        cycles.append(z)
-        boundaries.append(b)
-        ranks.append(z - b)
+    cycles = [len(space.basis) - r for space, r in zip(spaces, rank_nd)]
+    ranks = [z - b for z, b in zip(cycles, boundaries)]
     return BettiReport(tuple(ranks), tuple(cycles), tuple(boundaries), k.perversity)

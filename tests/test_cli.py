@@ -284,6 +284,13 @@ def test_well_formed_base_documents_pass(capsys, tmp_path):
     assert run(capsys, ["ih", "--in", write_json(tmp_path, "edge.json", EDGE)])[0] == 0
     assert run(capsys, ["ih", "--in", write_json(tmp_path, "tri.json", TRIANGLE)])[0] == 0
     assert run(capsys, ["flag", "--in", write_json(tmp_path, "seg.json", SEGMENT)])[0] == 0
+    # a facet that lists a vertex twice is the same facet, under either perversity form
+    middle = {key: v for key, v in TRIANGLE.items() if key != "perversity"}
+    for doc in (middle, TRIANGLE):
+        code, want, _ = run(capsys, ["ih", "--in", write_json(tmp_path, "once.json", doc)])
+        assert code == 0
+        twice = {**doc, "maximal_simplices": [["a", "b", "c", "c"]]}
+        assert run(capsys, ["ih", "--in", write_json(tmp_path, "twice.json", twice)]) == (0, want, "")
 
 
 def test_filtration_error_names_the_same_simplex_under_any_hash_seed(tmp_path):

@@ -17,7 +17,6 @@ from strathom.facelattice import (
 )
 from strathom.hcalc import (
     eval_word,
-    fit,
     fit_and_predict,
     ic_check,
     ic_training_data,
@@ -117,11 +116,17 @@ def test_fit_predicts_cube_and_polygons():
 
 
 def test_fit_rejects_bad_training_and_queries():
+    square = flag_vector(from_word("II"))
     with pytest.raises(DomainError, match="at least one"):
-        fit([])
+        fit_and_predict([], square)
     mixed = ic_training_data(2) + ic_training_data(3)
     with pytest.raises(DomainError, match="one dimension"):
-        fit(mixed)
+        fit_and_predict(mixed, square)
+    ragged = ic_training_data(2)
+    flag, h = ragged[1]
+    ragged[1] = (flag, h + (0,))
+    with pytest.raises(DomainError, match="one length"):
+        fit_and_predict(ragged, square)
     training = ic_training_data(3)
     with pytest.raises(DomainError, match="dimension"):
         fit_and_predict(training, flag_vector(from_word("II")))
@@ -140,15 +145,17 @@ def span_weights(flags, query):
 
 
 @pytest.mark.parametrize("n, query", [
-    (3, lambda: from_simplicial_facets(OCTA_FACETS)),
-    (3, lambda: from_word("III")),
-    (4, lambda: from_simplicial_facets(CYCLIC_7_4_FACETS)),
+    (3, lambda: flag_vector(from_simplicial_facets(OCTA_FACETS))),
+    (3, lambda: flag_vector(from_word("III"))),
+    (4, lambda: flag_vector(from_simplicial_facets(CYCLIC_7_4_FACETS))),
+    # the query column reduces to its tag row alone: the prediction is 0
+    (2, lambda: FlagVector(2, (0,) * 4)),
 ])
 def test_prediction_is_the_span_combination_of_training_h_vectors(n, query):
     training = ic_training_data(n)
     flags = [flag.entries for flag, _ in training]
     hs = [h for _, h in training]
-    q = flag_vector(query())
+    q = query()
     weights = span_weights(flags, q.entries)
     want = tuple(sum(w * h[k] for w, h in zip(weights, hs)) for k in range(n + 1))
     assert fit_and_predict(training, q) == want
@@ -198,16 +205,24 @@ def test_fit_refuses_training_with_one_bumped_h_vector(index):
         fit_and_predict(training, octa)
 
 
+def _feed_orders(n):
+    """Every training index once, plus up to four repeated ones, in any order."""
+    return st.lists(st.integers(0, 2 ** n - 1), max_size=4).flatmap(
+        lambda repeats: st.permutations(list(range(2 ** n)) + repeats))
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(st.integers(-4, 4), min_size=2 ** n, max_size=2 ** n))))
+    st.just(n), st.lists(st.integers(-4, 4), min_size=2 ** n, max_size=2 ** n),
+    _feed_orders(n))))
 def test_prediction_of_a_combination_is_the_combination_of_h_vectors(case):
-    n, coeffs = case
+    # the basis the reduction keeps depends on the order the pairs are fed in
+    n, coeffs, order = case
     training = ic_training_data(n)
     query = FlagVector(n, tuple(sum(c * flag.entries[m] for c, (flag, _) in zip(coeffs, training))
                                 for m in range(2 ** n)))
     want = tuple(sum(c * h[k] for c, (_, h) in zip(coeffs, training)) for k in range(n + 1))
-    assert fit_and_predict(training, query) == want
+    assert fit_and_predict([training[j] for j in order], query) == want
 
 
 def test_training_data_pairs_each_word_with_its_dual_polytope():
