@@ -2,8 +2,10 @@
 
 For each dimension n the 2^n words over {I, C} give polytopes whose flag
 vectors span a subspace of dimension F_{n+1}; the table prints the exact
-rank next to the Fibonacci target.  The flag vectors come straight from
-the words by the pyramid and prism operators, so no face lattice is built.
+rank next to the Fibonacci target.  The rank is the size of a basis walked
+level by level: the pyramids and prisms of a basis in dimension n - 1
+span the flag vectors in dimension n, so no face lattice is built and not
+every word is formed.
 """
 import argparse
 

@@ -34,8 +34,8 @@ __all__ = ["main"]
 # Largest arguments of the subcommands whose cost grows exponentially; the
 # largest allowed call of each takes under a minute (see README).
 MAX_ICCHECK_LEN = 18
-MAX_FIBRANK_DIM = 11
-MAX_FIT_DIM = 11
+MAX_FIBRANK_DIM = 13
+MAX_FIT_DIM = 13
 MAX_SHAPES_TOTAL_DIM = 14
 
 
@@ -87,7 +87,7 @@ def _cmd_fit(args) -> dict:
     else:
         query = FlagVector.from_json(doc)
     if query.dim != args.dim:
-        # refused before any of the 2^dim training pairs is built
+        # refused before any basis or training pair is built
         raise DomainError(f"query has dimension {query.dim}, training has dimension {args.dim}")
     prediction = fit_and_predict(ic_training_data(args.dim), query)
     return {"h": [int(v) for v in prediction]}

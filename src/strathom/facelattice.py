@@ -13,10 +13,10 @@ tuple of the 2^n counts indexed by that mask; only the JSON form spells
 the sets out.
 
 Pyramid and prism also act linearly on flag vectors (Ehrenborg-Readdy,
-"Coproducts and the cd-index", 1998).  `ic_flag_vectors` and
-`ic_flag_rank` use that to get the flag vectors of all words of one
-length straight from the words, with no lattice; the lattices are the
-reference they are tested against.
+"Coproducts and the cd-index", 1998).  `ic_basis` uses that to walk a
+basis of the span of the flag vectors of all words of one length
+straight from the words, level by level, with no lattice; the lattices
+are the reference it is tested against.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from itertools import combinations, product
 from operator import or_
 
 from .errors import DomainError, ValidationError, is_int
-from .exactla import dense_rank
+from .exactla import ColumnReduction, dense_rank
 
 WORD_LETTERS = "IC"
 
@@ -49,7 +49,7 @@ class FaceLattice:
     and raises ValidationError naming the first violated one.
     """
 
-    __slots__ = ("ids", "dims", "dim", "_index", "_up", "_down")
+    __slots__ = ("ids", "dims", "dim", "_up", "_down")
 
     def __init__(self, faces, covers):
         if not faces:
@@ -101,7 +101,6 @@ class FaceLattice:
         self.ids = ids
         self.dims = dims
         self.dim = n
-        self._index = index
         self._up = tuple(tuple(sorted(u)) for u in up)
         self._down = tuple(tuple(sorted(d)) for d in down)
 
@@ -397,7 +396,8 @@ def _split_table(n: int):
     U_j = {t_1..t_j} | {t_{j+1}-1, ..., t_k-1}, without -1 and without
     n - 1 (the dimension of P itself).  Per T this returns U_0, whether the
     prism counts split 0 (it has no face over the empty face, so only when
-    0 is not in T), and (U_1, ..., U_k).
+    0 is not in T), and (U_1, ..., U_k).  With S_T = sum of f(U_1..U_k),
+    f_T(Pyr P) = S_T + f(U_0) and f_T(P x I) = 2 S_T (+ f(U_0) if 0 not in T).
     """
     keep = (1 << (n - 1)) - 1
     table = []
@@ -412,45 +412,43 @@ def _split_table(n: int):
     return table
 
 
-def _ic_word_rows(n: int):
-    """(word, flag entries) for every word of length n over {I, C}.
+def _steps(table, f):
+    """The pyramid and prism of the flag row f (indexed by subset bitmask)
+    of a (d-1)-polytope, by table = _split_table(d)."""
+    pyr, prism = [], []
+    for u0, prism_u0, rest in table:
+        s = sum(map(f.__getitem__, rest))
+        pyr.append(s + f[u0])
+        prism.append(2 * s + f[u0] if prism_u0 else 2 * s)
+    return pyr, prism
 
-    Entries are a list indexed by subset bitmask (bit d for dimension d).
-    Words are evaluated rightmost letter first, so the walk goes depth
-    first over suffixes, and one pass over a suffix's entries yields both
-    of its extensions: with S_T = sum of f(U_1..U_k) from _split_table,
-    f_T(Pyr P) = S_T + f(U_0) and f_T(P x I) = 2 S_T, plus f(U_0) when
-    0 is not in T.  Words come out in depth-first order, not sorted.
+
+def ic_basis(n: int) -> list:
+    """(word, flag row) for a basis of the span of the flag vectors of the
+    length-n words over {I, C}, with no face lattice.
+
+    Pyramid and prism act linearly on flag vectors, and words are evaluated
+    rightmost letter first, so the pyramids and prisms of a basis at length
+    d - 1 span length d.  Each level keeps the extensions that take a new
+    pivot in an integer ColumnReduction; their number is the exact rank.
     """
-    ic_words(n)  # rejects n < 1 before any work
-    tables = [_split_table(d) for d in range(1, n + 1)]
-
-    def walk(suffix, f):
-        if len(suffix) == n:
-            yield suffix, f
-            return
-        pyr, prism = [], []
-        for u0, prism_u0, rest in tables[len(suffix)]:
-            s = sum(map(f.__getitem__, rest))
-            pyr.append(s + f[u0])
-            prism.append(2 * s + f[u0] if prism_u0 else 2 * s)
-        yield from walk("C" + suffix, pyr)
-        yield from walk("I" + suffix, prism)
-
-    return walk("", [1])
-
-
-def ic_flag_vectors(n: int) -> list:
-    """(word, FlagVector) for every word of length n over {I, C}, sorted
-    by word, computed from the word with no face lattice."""
-    return sorted(((word, FlagVector(n, tuple(row))) for word, row in _ic_word_rows(n)),
-                  key=lambda pair: pair[0])
+    if n < 1:
+        raise DomainError(f"IC words need length n >= 1, got {n}")
+    basis = [("", [1])]
+    for d in range(1, n + 1):
+        table = _split_table(d)
+        span = ColumnReduction()
+        basis = [(letter + word, row)
+                 for word, f in basis
+                 for letter, row in zip("CI", _steps(table, f))
+                 if span.add_column(dict(enumerate(row))) is not None]
+    return basis
 
 
 def ic_flag_rank(n: int) -> int:
     """Rank over the rationals of the flag vectors of all 2^n words of
-    length n over {I, C}."""
-    return dense_rank([row for _, row in _ic_word_rows(n)])
+    length n over {I, C}: the size of ic_basis(n)."""
+    return len(ic_basis(n))
 
 
 def fibonacci(n: int) -> int:

@@ -9,7 +9,7 @@ these only ever run on desk-sized inputs.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 
 # ----------------------------------------------------------- linear algebra
@@ -116,6 +116,40 @@ def simplicial_h_vector(facets):
         sum((-1) ** (k - i) * choose(n - i, k - i) * fvec[i] for i in range(k + 1))
         for k in range(n + 1)
     )
+
+
+def toric_h(dims, covers):
+    """Stanley's toric h-vector (h_0, ..., h_d) of a d-polytope given by
+    its face lattice alone.
+
+    dims maps each face id to its dimension, -1 for the empty face and d
+    for the polytope; covers lists (lower, upper) id pairs.  Faces are
+    taken in increasing dimension (Stanley, "Generalized h-vectors,
+    intersection cohomology of toric varieties, and related results",
+    1987):
+        h(G, x) = sum over faces F < G of g(F, x) (x - 1)^(dim G - 1 - dim F),
+        g(G, x) = h_0 + sum_{1 <= i <= dim G / 2} (h_i - h_{i-1}) x^i,
+    with h = g = 1 for the empty face.  Polynomials are coefficient lists,
+    constant term first.
+    """
+    below = {face: set() for face in dims}
+    for lo, hi in covers:
+        below[hi].add(lo)
+    order = sorted(dims, key=dims.get)
+    g = {}
+    for face in order:
+        d = dims[face]
+        for lo in list(below[face]):  # the direct covers; theirs are closed already
+            below[face] |= below[lo]
+        h = [0] * (d + 1) if below[face] else [1]
+        for lo in below[face]:
+            k = d - 1 - dims[lo]
+            power = [comb(k, j) * (-1) ** (k - j) for j in range(k + 1)]  # (x - 1)^k
+            for i, a in enumerate(g[lo]):
+                for j, b in enumerate(power):
+                    h[i + j] += a * b
+        g[face] = [h[0]] + [h[i] - h[i - 1] for i in range(1, d // 2 + 1)]
+    return tuple(h)
 
 
 # ------------------------------------------------------- simplicial chains

@@ -139,8 +139,8 @@ def test_validation_failures_exit_one_with_message(capsys, argv):
 
 @pytest.mark.parametrize("argv, work", [
     (["iccheck", "--max-len", "19"], "ic_words"),
-    (["fibrank", "--dim", "12"], "ic_flag_rank"),
-    (["fit", "--dim", "12", "--predict", "QUERY"], "ic_training_data"),
+    (["fibrank", "--dim", "14"], "ic_flag_rank"),
+    (["fit", "--dim", "14", "--predict", "QUERY"], "ic_training_data"),
     (["shapes", "--dd-check", "--max-total-dim", "15"], "iter_shapes"),
 ])
 def test_exponential_subcommands_refuse_arguments_above_their_limit(

@@ -17,8 +17,8 @@ from strathom.facelattice import (
     flag_vector,
     from_simplicial_facets,
     from_word,
+    ic_basis,
     ic_flag_rank,
-    ic_flag_vectors,
     ic_lattices,
     ic_words,
     lattice_from_json,
@@ -331,41 +331,47 @@ def test_flag_vector_of_point_and_segment():
 
 def test_word_flag_vectors_equal_the_lattice_flag_vectors():
     for n in range(1, 7):
-        words = ic_words(n)
-        vectors = ic_flag_vectors(n)
-        assert [w for w, _ in vectors] == words
-        for word, fv in vectors:
+        basis = ic_basis(n)
+        assert all(len(word) == n for word, _ in basis)
+        # independent rows: with ic_flag_rank == flag_rank below, a basis
+        assert flag_rank(from_word(word) for word, _ in basis) == len(basis)
+        for word, row in basis:
             lattice = from_word(word)
+            fv = FlagVector(n, tuple(row))
             assert fv == flag_vector(lattice), word
             # the dual's flag numbers are these with dimension d read as n-1-d
             assert FlagVector(n, reversed_entries(fv)) == flag_vector(dual(lattice)), word
 
 
 def test_word_flag_vectors_of_cube_and_simplex_are_the_closed_forms():
+    cube = simplex = [1]
     for n in range(1, 11):
-        vectors = dict(ic_flag_vectors(n))
-        cube, simplex = vectors["I" * n], vectors["C" * n]
+        table = facelattice._split_table(n)
+        simplex = facelattice._steps(table, simplex)[0]  # pyramid: C^n
+        cube = facelattice._steps(table, cube)[1]  # prism: I^n
         for mask in range(1 << n):
             s = members(mask, n)
             if not s:
-                assert cube.entries[mask] == simplex.entries[mask] == 1
+                assert cube[mask] == simplex[mask] == 1
                 continue
             # cube: a face of dimension b of the b-cube has comb(b, a) 2^(b-a) faces of dimension a
-            assert cube.entries[mask] == comb(n, s[-1]) * 2 ** (n - s[-1]) * prod(
+            assert cube[mask] == comb(n, s[-1]) * 2 ** (n - s[-1]) * prod(
                 comb(b, a) * 2 ** (b - a) for a, b in zip(s, s[1:])), (n, s)
             # simplex: nested vertex sets of sizes s_1+1 < ... < s_k+1 out of n+1
             sizes = [0] + [d + 1 for d in s] + [n + 1]
-            assert simplex.entries[mask] == factorial(n + 1) // prod(
+            assert simplex[mask] == factorial(n + 1) // prod(
                 factorial(b - a) for a, b in zip(sizes, sizes[1:])), (n, s)
 
 
 def test_word_flag_vectors_span_fibonacci_many_dimensions():
-    assert [ic_flag_rank(n) for n in range(1, 9)] == [fibonacci(n + 1) for n in range(1, 9)]
-    assert [fibonacci(n + 1) for n in range(1, 9)] == [1, 2, 3, 5, 8, 13, 21, 34]
+    for n in range(1, 7):
+        assert ic_flag_rank(n) == flag_rank(lattice for _, lattice in ic_lattices(n)), n
+    assert [ic_flag_rank(n) for n in range(1, 11)] == [fibonacci(n + 1) for n in range(1, 11)]
+    assert [fibonacci(n + 1) for n in range(1, 11)] == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
     with pytest.raises(DomainError, match="n >= 1"):
         ic_flag_rank(0)
     with pytest.raises(DomainError, match="n >= 1"):
-        ic_flag_vectors(-1)
+        ic_basis(-1)
 
 
 @pytest.mark.parametrize("entries, match", [

@@ -1,18 +1,21 @@
 """Rules I and C, the consistency identity, and the rational flag fit."""
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import nullspace, row_reduce, simplicial_h_vector
+from oracles import nullspace, row_reduce, simplicial_h_vector, toric_h
 from strathom.errors import DomainError
 from strathom.facelattice import (
     FlagVector,
     dual,
+    fibonacci,
     flag_vector,
     from_simplicial_facets,
     from_word,
+    ic_basis,
     ic_words,
 )
 from strathom.hcalc import (
@@ -30,12 +33,24 @@ OCTA_FACETS = [
 ]
 PENTAGON_FACETS = [("p1", "p2"), ("p2", "p3"), ("p3", "p4"), ("p4", "p5"), ("p5", "p1")]
 SQUARE_FACETS = [("q1", "q2"), ("q2", "q3"), ("q3", "q4"), ("q4", "q1")]
-# C(7,4) by Gale's evenness condition
-CYCLIC_7_4_FACETS = [
-    tuple(f"v{x}" for x in f) for f in combinations(range(7), 4)
-    if all(sum(1 for x in f if i < x < j) % 2 == 0
-           for i, j in combinations([v for v in range(7) if v not in f], 2))
-]
+
+
+def cyclic_facets(m, d):
+    """Facets of the cyclic polytope C(m, d) by Gale's evenness condition."""
+    return [tuple(f"v{x}" for x in f) for f in combinations(range(m), d)
+            if all(sum(1 for x in f if i < x < j) % 2 == 0
+                   for i, j in combinations([v for v in range(m) if v not in f], 2))]
+
+
+CYCLIC_7_4_FACETS = cyclic_facets(7, 4)
+
+
+@lru_cache(maxsize=None)
+def all_pairs(n):
+    """(dual flag vector, h-vector) for every word of length n, sorted by
+    word, from face lattices: the training ic_training_data's basis pairs
+    stand in for."""
+    return tuple((flag_vector(dual(from_word(w))), eval_word(w)) for w in ic_words(n))
 
 
 def test_rule_I_convolves():
@@ -152,13 +167,14 @@ def span_weights(flags, query):
     (2, lambda: FlagVector(2, (0,) * 4)),
 ])
 def test_prediction_is_the_span_combination_of_training_h_vectors(n, query):
-    training = ic_training_data(n)
+    training = all_pairs(n)
     flags = [flag.entries for flag, _ in training]
     hs = [h for _, h in training]
     q = query()
     weights = span_weights(flags, q.entries)
     want = tuple(sum(w * h[k] for w, h in zip(weights, hs)) for k in range(n + 1))
     assert fit_and_predict(training, q) == want
+    assert fit_and_predict(ic_training_data(n), q) == want
     # every relation among the training flag vectors holds among their
     # h-vectors, so the combination does not depend on the weights chosen
     relations = nullspace([[row[i] for row in flags] for i in range(2 ** n)], len(flags))
@@ -197,7 +213,9 @@ def test_ic_check_holds_generically(word):
 
 @pytest.mark.parametrize("index", range(8))
 def test_fit_refuses_training_with_one_bumped_h_vector(index):
-    training = ic_training_data(3)
+    # the 8 words of length 3 span F(4) = 3 dimensions, so each pair is
+    # determined by the others
+    training = list(all_pairs(3))
     flag, h = training[index]
     training[index] = (flag, (h[0] + 1,) + h[1:])
     octa = flag_vector(from_simplicial_facets(OCTA_FACETS))
@@ -218,7 +236,7 @@ def _feed_orders(n):
 def test_prediction_of_a_combination_is_the_combination_of_h_vectors(case):
     # the basis the reduction keeps depends on the order the pairs are fed in
     n, coeffs, order = case
-    training = ic_training_data(n)
+    training = all_pairs(n)
     query = FlagVector(n, tuple(sum(c * flag.entries[m] for c, (flag, _) in zip(coeffs, training))
                                 for m in range(2 ** n)))
     want = tuple(sum(c * h[k] for c, (_, h) in zip(coeffs, training)) for k in range(n + 1))
@@ -226,16 +244,24 @@ def test_prediction_of_a_combination_is_the_combination_of_h_vectors(case):
 
 
 def test_training_data_pairs_each_word_with_its_dual_polytope():
-    for n in range(1, 5):
-        training = ic_training_data(n)
-        assert [h for _, h in training] == [eval_word(w) for w in ic_words(n)]
-        assert [flag for flag, _ in training] == [
-            flag_vector(dual(from_word(w))) for w in ic_words(n)]
+    for n in range(1, 7):
+        assert ic_training_data(n) == [(flag_vector(dual(from_word(w))), eval_word(w))
+                                       for w, _ in ic_basis(n)]
+
+
+def test_basis_training_predicts_what_all_pairs_training_predicts():
+    for n in range(1, 7):
+        basis = ic_training_data(n)
+        assert len(basis) == fibonacci(n + 1)
+        for flag, _ in all_pairs(n):
+            # flag is the dual of a word's polytope, flag.dual() the polytope
+            for query in (flag, flag.dual()):
+                assert fit_and_predict(basis, query) == fit_and_predict(all_pairs(n), query)
 
 
 def test_fit_and_predict_takes_rational_pairs():
     octa = flag_vector(from_simplicial_facets(OCTA_FACETS))
-    thirds = [(flag, tuple(Fraction(v, 3) for v in h)) for flag, h in ic_training_data(3)]
+    thirds = [(flag, tuple(Fraction(v, 3) for v in h)) for flag, h in all_pairs(3)]
     assert fit_and_predict(thirds, octa) == (Fraction(1, 3), 1, 1, Fraction(1, 3))
     halves = [(flag, tuple(v / 2 for v in h)) for flag, h in ic_training_data(3)]
     assert fit_and_predict(halves, octa) == (0.5, 1.5, 1.5, 0.5)
@@ -246,3 +272,23 @@ def test_fit_and_predict_takes_rational_pairs():
     thirds[5] = (flag, (h[0] + Fraction(1, 7),) + h[1:])
     with pytest.raises(DomainError, match="no linear function fits"):
         fit_and_predict(thirds, octa)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.one_of(st.text(alphabet="IC", min_size=3, max_size=6),
+                 st.integers(3, 6).flatmap(lambda d: st.tuples(st.integers(d + 1, d + 4),
+                                                               st.just(d)))),
+       st.booleans())
+def test_fit_computes_the_toric_h_vector(polytope, take_dual):
+    """IC words and cyclic polytopes C(m, d) in dims 3-6, and their duals."""
+    if isinstance(polytope, str):
+        lattice = from_word(polytope)
+    else:
+        lattice = from_simplicial_facets(cyclic_facets(*polytope))
+    if take_dual:
+        lattice = dual(lattice)
+    n = lattice.dim
+    h = fit_and_predict(ic_training_data(n), flag_vector(lattice))
+    assert h == toric_h(dict(zip(lattice.ids, lattice.dims)), lattice.cover_pairs())
+    # g_i = h_i - h_{i-1} >= 0 up to the middle (Stanley 1987; Karu 2004)
+    assert all(h[i] >= h[i - 1] for i in range(1, n // 2 + 1))
