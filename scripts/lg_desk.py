@@ -23,7 +23,7 @@ def main() -> None:
     print(f"{'i':>3} {'w1':>3} {'rank':>5}  cells")
     for i in range(args.max_i + 1):
         for w1 in range(k.dim + 1):
-            report = lg_ranks(k, i, (w1,))
+            report = lg_ranks(k, i, w1)
             cells = ", ".join(f"{key}: {n}" for key, n in sorted(report.cells.items()))
             print(f"{i:>3} {w1:>3} {report.rank:>5}  {cells}")
 
@@ -31,9 +31,9 @@ def main() -> None:
     sd = barycentric_subdivision(k)
     print("subdivision stability at w=(0), trivial stratification for information:")
     for i in range(args.max_i + 1):
-        base = lg_ranks(k, i, (0,)).rank
-        refined = lg_ranks(sd, i, (0,)).rank
-        trivial = lg_ranks(flat, i, (0,)).rank
+        base = lg_ranks(k, i, 0).rank
+        refined = lg_ranks(sd, i, 0).rank
+        trivial = lg_ranks(flat, i, 0).rank
         mark = "ok" if base == refined else "MISMATCH"
         print(f"  i={i}: labeled {base}, subdivided {refined}  {mark}  (trivial {trivial})")
 

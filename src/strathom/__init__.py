@@ -6,7 +6,7 @@ from .complexes import StratifiedComplex, Perversity, allowable_simplex
 from .facelattice import FaceLattice, FlagVector, flag_vector, flag_rank
 from .hcalc import eval_word, ic_check, fit_and_predict
 from .ihomology import ih_ranks
-from .lghomology import WSequence, lg_ranks
+from .lghomology import lg_ranks
 
 __all__ = [
     "StratifiedComplex",
@@ -21,5 +21,4 @@ __all__ = [
     "fit_and_predict",
     "ih_ranks",
     "lg_ranks",
-    "WSequence",
 ]

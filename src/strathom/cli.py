@@ -26,7 +26,7 @@ from .facelattice import (
 )
 from .hcalc import eval_word, fit_and_predict, ic_check, ic_training_data
 from .ihomology import ih_ranks
-from .lghomology import WSequence, lg_ranks
+from .lghomology import lg_ranks
 from .stratsimplex import dd_check, iter_shapes
 
 __all__ = ["main"]
@@ -110,7 +110,7 @@ def _cmd_lg(args) -> dict:
         raise ValueError("--dim-seq must have the form 'i,0'")
     i = int(parts[0])
     k = complex_from_json(_load_json(args.infile))
-    report = lg_ranks(k, i, WSequence((args.w,)))
+    report = lg_ranks(k, i, args.w)
     return {"rank": report.rank, "cells": report.cells, "w": list(report.w)}
 
 

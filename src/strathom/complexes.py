@@ -64,7 +64,7 @@ class Perversity:
 
         The middle perversity regrows from its formula; an explicit one
         is truncated, or extended by repeating its last value (the
-        minimal growth), when a cone or link changes the dimension.
+        minimal growth), when a cone or suspension changes the dimension.
         """
         if self.label == "middle":
             return Perversity.middle(m)
@@ -147,9 +147,11 @@ class StratifiedComplex:
         self.simplices = frozenset(faces)
         self.dim = max(map(len, maximal), default=0) - 1
         m = self.dim
-        for f in faces:
-            top = max(strata[v] for v in f)
-            if top < m and len(f) - 1 > top:
+        # a face of X_t (t < m) above dimension t exists exactly when some
+        # facet's sorted labels have l_q < m and q > l_q: its first q + 1
+        # vertices span a q-face in X_{l_q}
+        for f in maximal:
+            if any(q > t for q, t in enumerate(sorted(strata[v] for v in f)) if t < m):
                 # name the least offender, whatever order the set yields them in
                 f, top = min(
                     (g, t) for g in faces
@@ -166,9 +168,6 @@ class StratifiedComplex:
             )
         self.perversity = perversity
         self._by_dim = None
-
-    def label(self, v: str) -> int:
-        return self.strata[v]
 
     def simplices_of_dim(self, i: int) -> tuple[tuple[str, ...], ...]:
         """The i-simplices as sorted vertex tuples, in sorted order.
@@ -190,11 +189,6 @@ class StratifiedComplex:
 
     def euler_characteristic(self) -> int:
         return sum(-1 if len(f) % 2 == 0 else 1 for f in self.simplices)
-
-    def same_labeled_complex(self, other: "StratifiedComplex") -> bool:
-        """Equality of underlying labeled complexes, perversity aside."""
-        return (self.strata == other.strata
-                and self.simplices == other.simplices)
 
     def with_strata(self, strata) -> "StratifiedComplex":
         """The same complex relabeled; strata may be a map or a constant."""
@@ -250,34 +244,23 @@ def _fresh_names(taken, stems):
     return out
 
 
-def cone(k: StratifiedComplex, apex_label: int = 0, apex_name: str = "apex") -> StratifiedComplex:
-    """Join a fresh apex vertex to every simplex; dimension grows by 1."""
-    (name,) = _fresh_names(k.vertices, [apex_name])
+def cone(k: StratifiedComplex) -> StratifiedComplex:
+    """Join a fresh apex vertex, labeled 0, to every simplex; dimension grows by 1."""
+    (name,) = _fresh_names(k.vertices, ["apex"])
     strata = dict(k.strata)
-    strata[name] = apex_label
+    strata[name] = 0
     maximal = [f + (name,) for f in k.maximal] or [(name,)]
     return StratifiedComplex(strata, maximal, k.perversity.resized(k.dim + 1))
 
 
-def suspension(k: StratifiedComplex, apex_labels=(0, 0)) -> StratifiedComplex:
-    """Join two fresh apexes to every simplex (not to each other)."""
+def suspension(k: StratifiedComplex) -> StratifiedComplex:
+    """Join two fresh apexes, labeled 0, to every simplex (not to each other)."""
     north, south = _fresh_names(k.vertices, ["north", "south"])
     strata = dict(k.strata)
-    strata[north], strata[south] = apex_labels
+    strata[north] = strata[south] = 0
     maximal = [f + (apex,) for apex in (north, south) for f in k.maximal]
     maximal = maximal or [(north,), (south,)]
     return StratifiedComplex(strata, maximal, k.perversity.resized(k.dim + 1))
-
-
-def link(k: StratifiedComplex, v: str) -> StratifiedComplex:
-    """Simplices F with v not in F and F + v in the complex, labels kept."""
-    if v not in k.strata:
-        raise ValidationError(f"unknown vertex {v!r}")
-    candidates = [[u for u in f if u != v] for f in k.maximal if v in f and len(f) > 1]
-    verts = set().union(*candidates)
-    strata = {u: k.strata[u] for u in verts}
-    new_dim = max((len(f) for f in candidates), default=0) - 1
-    return StratifiedComplex(strata, candidates, k.perversity.resized(new_dim))
 
 
 def barycentric_subdivision(k: StratifiedComplex) -> StratifiedComplex:

@@ -65,19 +65,19 @@ def wedge_circles() -> StratifiedComplex:
 
 
 def cone_hexagon() -> StratifiedComplex:
-    return cone(circle(6, 2), 0)
+    return cone(circle(6, 2))
 
 
 def cone_square() -> StratifiedComplex:
-    return cone(circle(4, 2), 0)
+    return cone(circle(4, 2))
 
 
 def susp_hexagon() -> StratifiedComplex:
-    return suspension(circle(6, 2), (0, 0))
+    return suspension(circle(6, 2))
 
 
 def susp_torus7() -> StratifiedComplex:
-    return suspension(torus7(3), (0, 0))
+    return suspension(torus7(3))
 
 
 CORPUS = (
@@ -113,11 +113,11 @@ def by_name(name: str) -> StratifiedComplex:
     raise KeyError(name)
 
 
-def small_members(max_vertices: int = 8):
-    """Entries whose complex has at most the given number of vertices."""
+def small_members():
+    """Entries whose complex has at most eight vertices."""
     out = []
     for entry in CORPUS:
         k = entry()
-        if len(k.vertices) <= max_vertices:
+        if len(k.vertices) <= 8:
             out.append((entry, k))
     return out

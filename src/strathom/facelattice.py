@@ -377,11 +377,6 @@ def ic_words(n: int) -> list[str]:
     return ["".join(letters) for letters in product(sorted(WORD_LETTERS), repeat=n)]
 
 
-def ic_lattices(n: int):
-    """All words of length n over {I, C} with their lattices, sorted, built one at a time."""
-    return ((word, from_word(word)) for word in ic_words(n))
-
-
 # ------------------------------------------------- IC words, no lattices
 
 
@@ -423,26 +418,30 @@ def _steps(table, f):
     return pyr, prism
 
 
-def ic_basis(n: int) -> list:
-    """(word, flag row) for a basis of the span of the flag vectors of the
-    length-n words over {I, C}, with no face lattice.
+def ic_extensions(n: int) -> list:
+    """(word, flag row) for the pyramid and the prism of every row of
+    ic_basis(n - 1), with no face lattice: 2 F(n) rows spanning the flag
+    vectors of the length-n words over {I, C}.
 
     Pyramid and prism act linearly on flag vectors, and words are evaluated
     rightmost letter first, so the pyramids and prisms of a basis at length
-    d - 1 span length d.  Each level keeps the extensions that take a new
-    pivot in an integer ColumnReduction; their number is the exact rank.
+    n - 1 span length n.  At length 0 the basis is the point.
     """
     if n < 1:
         raise DomainError(f"IC words need length n >= 1, got {n}")
-    basis = [("", [1])]
-    for d in range(1, n + 1):
-        table = _split_table(d)
-        span = ColumnReduction()
-        basis = [(letter + word, row)
-                 for word, f in basis
-                 for letter, row in zip("CI", _steps(table, f))
-                 if span.add_column(dict(enumerate(row))) is not None]
-    return basis
+    table = _split_table(n)
+    return [(letter + word, row)
+            for word, f in (ic_basis(n - 1) if n > 1 else [("", [1])])
+            for letter, row in zip("CI", _steps(table, f))]
+
+
+def ic_basis(n: int) -> list:
+    """(word, flag row) for a basis of the span of the flag vectors of the
+    length-n words over {I, C}: the rows of ic_extensions(n) that take a new
+    pivot in an integer ColumnReduction; their number is the exact rank."""
+    span = ColumnReduction()
+    return [(word, row) for word, row in ic_extensions(n)
+            if span.add_column(dict(enumerate(row))) is not None]
 
 
 def ic_flag_rank(n: int) -> int:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .exactla import ColumnReduction, _integral
-from .facelattice import FlagVector, ic_basis, parse_word
+from .facelattice import FlagVector, ic_extensions, parse_word
 # not called here; perfbench/tracing.py still looks these names up on this module
 from .exactla import solve_right  # noqa: F401
 from .facelattice import dual, flag_vector  # noqa: F401
@@ -135,11 +135,13 @@ def fit_and_predict(training, query: FlagVector):
 
 
 def ic_training_data(n: int):
-    """Flag vector and h-vector pairs for the words of ic_basis(n).
+    """Flag vector and h-vector pairs for the words of ic_extensions(n).
 
-    The flag vectors of all 2^n words of length n span no more than these
-    F(n+1), and the prediction is unique on the span, so fitting the basis
-    pairs predicts what fitting all 2^n pairs would.
+    These 2 F(n) words are the pyramids and prisms of a basis at length
+    n - 1, so their flag vectors span those of all 2^n words of length n.
+    The prediction is unique on the span, so fitting these pairs predicts
+    what fitting all 2^n pairs would; fit_and_predict drops the pairs that
+    reduce to zero, leaving F(n+1).
 
     The h-vector of a word is paired with the flag vector of the *dual*
     of its polytope.  Duality swaps the prism construction with the free
@@ -150,4 +152,4 @@ def ic_training_data(n: int):
     the word with its own polytope instead would fit the dual convention
     (octahedron -> (1, 5, 5, 1), the cube's generalized h-vector).
     """
-    return [(FlagVector(n, tuple(row)).dual(), eval_word(word)) for word, row in ic_basis(n)]
+    return [(FlagVector(n, tuple(row)).dual(), eval_word(word)) for word, row in ic_extensions(n)]

@@ -42,7 +42,6 @@ from .exactla import ColumnReduction
 class ChainSpace:
     """Basis of allowable simplices in one degree, sorted vertex lists."""
 
-    degree: int
     basis: tuple
 
 
@@ -70,7 +69,7 @@ def chain_spaces(k: StratifiedComplex) -> list[ChainSpace]:
         if labels not in verdicts:
             verdicts[labels] = perversity_ok(sorted(labels), len(f) - 1, m, p)
         return verdicts[labels]
-    return [ChainSpace(i, tuple(filter(allowed, k.simplices_of_dim(i)))) for i in range(m + 1)]
+    return [ChainSpace(tuple(filter(allowed, k.simplices_of_dim(i)))) for i in range(m + 1)]
 
 
 def ih_ranks(k: StratifiedComplex) -> BettiReport:

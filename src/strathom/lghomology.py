@@ -33,8 +33,8 @@ is (|A| - 1) + (|T| - 1), with A the base positions where every map in T
 lands in X_{m-c}.  Each must stay within (i + j) - c + p(c).  The coning
 direction itself is exempt: the apex may sit in any stratum.  What the
 apex does is recorded separately by w_1(f), the deepest stratum the apex
-path meets, and a w-sequence constraint w_1 <= w_1(f) selects cells whose
-cone points sit at least that deep.
+path meets, and the apex floor w_1 <= w_1(f) selects cells whose cone
+points sit at least that deep.  Order one carries this single w entry.
 
 The rank of H_{(i,0);(w)} is dim Z - dim B, where Z collects the cycles
 among allowed (i,0) cells and B the parts of boundaries landing on them.  A
@@ -69,8 +69,6 @@ from .stratsimplex import StratifiedShape, facets
 
 __all__ = [
     "Cell",
-    "WSequence",
-    "AllowReport",
     "LgReport",
     "enumerate_cells",
     "cell_boundary",
@@ -124,40 +122,6 @@ def _maps(j, images):
         return (images,)
     w = len(images) // 2
     return images[:w], images[w:]
-
-
-@dataclass(frozen=True)
-class WSequence:
-    """Required minimal strata for the cone points, one entry per order."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if not self.entries:
-            raise ValidationError("a w-sequence needs at least one entry")
-        for e in self.entries:
-            if not isinstance(e, int) or e < 0:
-                raise ValidationError(f"w-sequence entries must be integers >= 0, got {e!r}")
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
-@dataclass(frozen=True)
-class AllowReport:
-    """Admissibility verdict for one cell, with the computed apex stratum."""
-
-    allowed: bool
-    perversity_ok: bool
-    w_ok: bool
-    w1: int
-
-    def __bool__(self):
-        return self.allowed
 
 
 @dataclass(frozen=True)
@@ -310,30 +274,27 @@ def _label_verdict(labels, j, m, p):
     return ok, max(labels[::width])
 
 
-def cell_allowed(k: StratifiedComplex, cell: Cell, w: WSequence | None = None) -> AllowReport:
-    """Perversity and w-sequence admissibility of one cell.
+def cell_allowed(k: StratifiedComplex, cell: Cell, w1: int) -> bool:
+    """Perversity admissibility of one cell with its apex at least as deep
+    as the floor w1.
 
     Only slices with the coning parameter away from zero are constrained,
     so apex labels never enter the perversity part.  Writing d = m - c, for
     every nonempty set T of cone maps let A be the base positions where
     every map in T lands on a label <= d; the face of X_d on that part of
     the cell has dimension (|A| - 1) + (|T| - 1), which must stay within
-    (i + j) - c + p(c) whenever A is nonempty.  The apex stratum w_1 is
-    the largest apex label, the deepest point of the apex path.
+    (i + j) - c + p(c) whenever A is nonempty.  The apex stratum w_1(f) is
+    the largest apex label, the deepest point of the apex path, and must
+    be at least w1.
     """
     strata = k.strata
-    ok, w1 = _label_verdict([strata[v] for v in cell.images], cell.j, k.dim, k.perversity)
-    w_ok = True
-    if w is not None:
-        if len(w) != 1:
-            raise ValidationError("cells of order <= 1 carry a single w entry")
-        w_ok = w.entries[0] <= w1
-    return AllowReport(allowed=ok and w_ok, perversity_ok=ok, w_ok=w_ok, w1=w1)
+    ok, apex = _label_verdict([strata[v] for v in cell.images], cell.j, k.dim, k.perversity)
+    return ok and apex >= w1
 
 
 def _allowed_cells(k: StratifiedComplex, i: int, j: int, w1: int):
     """(simplex, pick, boundary) for every cell of shape (i, j) allowed at
-    w = (w1), in `enumerate_cells` order.
+    the apex floor w1, in `enumerate_cells` order.
 
     The cell's images are pick(simplex).  Its boundary lists (child j,
     child pick, coefficient) in `cell_boundary` order, the child's images
@@ -362,8 +323,9 @@ def _allowed_cells(k: StratifiedComplex, i: int, j: int, w1: int):
                 yield simplex, pick, terms
 
 
-def lg_ranks(k: StratifiedComplex, i: int, w) -> LgReport:
-    """Rank of the order-one local-global group in degree (i,0) at w.
+def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
+    """Rank of the order-one local-global group in degree (i,0) at the
+    apex floor w1.
 
     Z is the kernel of the full boundary on allowed (i,0) cells.  B is
     assembled from allowed (i+1,0) and (i,1) cells: a combination qualifies
@@ -377,17 +339,14 @@ def lg_ranks(k: StratifiedComplex, i: int, w) -> LgReport:
     Column operations never remove a pivot, so that count only grows, and
     feeding stops once it reaches dim Z; the cells left are only counted.
     """
-    if not isinstance(w, WSequence):
-        w = WSequence(tuple(w))
-    if len(w) != 1:
-        raise ValidationError("only order-one w-sequences are supported")
+    if w1 < 0:
+        raise ValidationError(f"w-sequence entries must be integers >= 0, got {w1!r}")
     if i < 0:
         raise ValidationError(f"base dimension must be >= 0, got {i}")
-    w1 = w.entries[0]
     m = k.dim
     keys = (f"({i},0)", f"({i + 1},0)", f"({i},1)")
     if m < 0:
-        return LgReport(rank=0, cells=dict.fromkeys(keys, 0), w=w.entries, cycles=0, boundaries=0)
+        return LgReport(rank=0, cells=dict.fromkeys(keys, 0), w=(w1,), cycles=0, boundaries=0)
     if w1 > m:
         raise ValidationError(f"w_1 must lie in 0..{m} for this complex, got {w1}")
 
@@ -427,20 +386,20 @@ def lg_ranks(k: StratifiedComplex, i: int, w) -> LgReport:
 
     assert 0 <= boundaries <= cycles, "boundary space escaped the cycle space"
     return LgReport(
-        rank=cycles - boundaries, cells=dict(zip(keys, counts)), w=w.entries,
+        rank=cycles - boundaries, cells=dict(zip(keys, counts)), w=(w1,),
         cycles=cycles, boundaries=boundaries,
     )
 
 
-def cells_dd_check(k: StratifiedComplex, max_i: int = 2) -> bool:
-    """True when the double boundary of every cell with base dim <= max_i
+def cells_dd_check(k: StratifiedComplex) -> bool:
+    """True when the double boundary of every cell with base dim <= 2
     vanishes in the degeneracy quotient.
 
     A cell is its template renamed in order, and renaming commutes with
     the boundary, so the templates of every shape and every simplex size
     the complex has stand for all of its cells.
     """
-    for i in range(max_i + 1):
+    for i in range(3):
         for j in (0, 1):
             for s in _sizes(k, i, j):
                 for images in _templates(i, j, s):

@@ -46,7 +46,6 @@ class StratifiedShape:
 class FacetRef:
     """One signed boundary facet: delete coordinate l of factor j."""
 
-    parent: StratifiedShape
     factor: int
     local: int
     sign: int
@@ -74,7 +73,7 @@ def facets(shape: StratifiedShape) -> list[FacetRef]:
         child = StratifiedShape(child_dims)
         for l in range(dims[j] + 1):
             sign = -1 if _position(dims, j, l) % 2 else 1
-            out.append(FacetRef(shape, j, l, sign, child))
+            out.append(FacetRef(j, l, sign, child))
     return out
 
 

@@ -19,7 +19,7 @@ from strathom.facelattice import (
     flag_rank,
     flag_vector,
     from_simplicial_facets,
-    ic_lattices,
+    from_word,
     ic_words,
 )
 from strathom.hcalc import eval_word, fit_and_predict, ic_check, ic_training_data, rule_C
@@ -40,7 +40,7 @@ def _line(capsys, n, ok, detail):
 
 
 def _oracle_inputs(k):
-    strata = {v: k.label(v) for v in k.vertices}
+    strata = {v: k.strata[v] for v in k.vertices}
     maximal = [tuple(sorted(f)) for f in k.maximal]
     return strata, maximal
 
@@ -95,7 +95,7 @@ def test_criterion_03_ic_equation_on_short_words(capsys):
 
 def test_criterion_04_fibonacci_flag_ranks(capsys):
     t0 = time.monotonic()
-    got = tuple(flag_rank([l for _, l in ic_lattices(n)]) for n in range(1, 6))
+    got = tuple(flag_rank(map(from_word, ic_words(n))) for n in range(1, 6))
     elapsed = time.monotonic() - t0
     ok = got == (1, 2, 3, 5, 8) and elapsed < 30.0
     _line(capsys, 4, ok, f"flag ranks {got} for dimensions 1-5, {elapsed:.1f}s")
@@ -121,12 +121,12 @@ def test_criterion_06_double_boundary_vanishes(capsys):
     t0 = time.monotonic()
     shapes = list(iter_shapes(6))
     shape_failures = [str(s) for s in shapes if not dd_check(s)]
-    cell_failures = [e.name for e, k in small_members(8) if not cells_dd_check(k, max_i=2)]
+    cell_failures = [e.name for e, k in small_members() if not cells_dd_check(k)]
     elapsed = time.monotonic() - t0
     ok = (len(shapes) == 127 and not shape_failures and not cell_failures
           and elapsed < 60.0)
     _line(capsys, 6, ok, f"{len(shapes)} shapes of total dim <= 6 plus all cone/prism "
-                 f"cells on {len(small_members(8))} complexes, {elapsed:.1f}s")
+                 f"cells on {len(small_members())} complexes, {elapsed:.1f}s")
     assert len(shapes) == 127
     assert shape_failures == []
     assert cell_failures == []
@@ -202,19 +202,19 @@ def test_criterion_10_local_global_desk_results(capsys):
 
     desk = {}
     for i, want in ((0, 1), (1, 0)):
-        live = lg_ranks(ch, i, (0,)).rank
+        live = lg_ranks(ch, i, 0).rank
         oracle = naive_lg_rank(strata, maximal, ch.perversity, i, 0)
-        flat_live = lg_ranks(flat, i, (0,)).rank
+        flat_live = lg_ranks(flat, i, 0).rank
         flat_oracle = naive_lg_rank(*flat_inputs, flat.perversity, i, 0)
         desk[i] = (live, oracle, flat_live, flat_oracle, want)
 
     independent = all(
-        lg_ranks(k, i, (0,)).rank == lg_ranks(k.with_strata(max(k.dim, 0)), i, (0,)).rank
+        lg_ranks(k, i, 0).rank == lg_ranks(k.with_strata(max(k.dim, 0)), i, 0).rank
         for k in map(by_name, ("cone_square", "susp_hexagon", "circle6"))
         for i in (0, 1))
 
     sd = barycentric_subdivision(ch)
-    stable = (lg_ranks(sd, 0, (0,)).rank, lg_ranks(sd, 1, (0,)).rank) == (1, 0)
+    stable = (lg_ranks(sd, 0, 0).rank, lg_ranks(sd, 1, 0).rank) == (1, 0)
 
     elapsed = time.monotonic() - t0
     desk_ok = all(len(set(vals)) == 1 for vals in desk.values())

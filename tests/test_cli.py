@@ -234,9 +234,22 @@ def _mutated(node, rng, names):
     return rng.choice(names + _FUZZ_VALUES if rng.random() < 0.5 else _FUZZ_VALUES)
 
 
+def _guarded_run(capsys, argv, doc):
+    """Exit code of one call, which must compute (0) or refuse with one
+    error line (1), never a traceback (2) or an escaping exception."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1), (argv, doc, err)
+    if code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (doc, err)
+    return code
+
+
 def test_mutated_complex_documents_exit_zero_or_one(capsys, tmp_path):
-    # a regression guard: every input either computes or is refused with
-    # one line, never a traceback (exit 2) or an escaping exception
+    # a regression guard: every input either computes or is refused with one line
     rng = random.Random(20261018)
     docs = [complex_to_json(by_name(name)) for name in ("cone_hexagon", "wedge", "susp_hexagon")]
     path = str(tmp_path / "doc.json")
@@ -249,17 +262,30 @@ def test_mutated_complex_documents_exit_zero_or_one(capsys, tmp_path):
         write_json(tmp_path, "doc.json", doc)
         lg = ["lg", "--in", path, "--dim-seq", f"{rng.randint(0, 1)},0", "--w", str(rng.randint(0, 2))]
         for argv in (["ih", "--in", path], lg):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-            out, err = capsys.readouterr()
-            assert code in (0, 1), (argv, doc, err)
-            if code == 1:
-                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (doc, err)
-            codes.append(code)
+            codes.append(_guarded_run(capsys, argv, doc))
     # the edits leave some documents valid, so the computations are reached too
     assert codes.count(0) >= 30 and codes.count(1) >= 30
+
+
+def test_mutated_lattice_and_flag_vector_documents_exit_zero_or_one(capsys, tmp_path):
+    rng = random.Random(20261019)
+    # C(6,4) by Gale's evenness: the unions of two disjoint edges of the 6-cycle
+    c64 = [(f"v{a}", f"v{a + 1}", f"v{b}", f"v{(b + 1) % 6}")
+           for a, b in combinations(range(6), 2) if 2 <= b - a <= 4]
+    # fit runs at the dimension of the document a mutant is cut from
+    docs = [("3", lattice_to_json(from_simplicial_facets(OCTA_FACETS))),
+            ("4", flag_vector(from_simplicial_facets(c64)).to_json())]
+    path = str(tmp_path / "doc.json")
+    codes = {"flag": [], "fit": []}
+    for _ in range(200):
+        dim, doc = rng.choice(docs)
+        names = [f["id"] for f in doc["faces"]] if "faces" in doc else list(doc["entries"])
+        for _ in range(rng.randint(1, 3)):
+            doc = _mutated(doc, rng, names)
+        write_json(tmp_path, "doc.json", doc)
+        for argv in (["flag", "--in", path], ["fit", "--dim", dim, "--predict", path]):
+            codes[argv[0]].append(_guarded_run(capsys, argv, doc))
+    assert all(0 in c and 1 in c for c in codes.values())
 
 
 def test_flag_vector_of_huge_dim_is_refused_without_listing_subsets(capsys, tmp_path, monkeypatch):

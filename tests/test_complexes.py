@@ -12,7 +12,6 @@ from strathom.complexes import (
     complex_from_json,
     complex_to_json,
     cone,
-    link,
     perversity_ok,
     suspension,
 )
@@ -129,6 +128,26 @@ def test_construction_matches_brute_force(family):
     assert all(stored[f] is f for i in range(k.dim + 1) for f in k.simplices_of_dim(i))
 
 
+@settings(deadline=None, max_examples=200)
+@given(_families(), st.lists(st.integers(min_value=0, max_value=4), min_size=5, max_size=5))
+def test_filtration_check_is_the_per_face_check(family, labels):
+    # the constructor tests maximal simplices only; every face is tested here
+    sets = {frozenset(f) for f in family} - {frozenset()}
+    strata = {v: labels["abcde".index(v)] for f in sets for v in f}
+    m = max(map(len, sets), default=0) - 1
+    breaking = sorted(f for g in sets for r in range(1, len(g) + 1)
+                      for f in combinations(sorted(g), r)
+                      if (t := max(strata[v] for v in f)) < m and len(f) - 1 > t)
+    if not breaking:
+        StratifiedComplex(strata, family)
+        return
+    least = breaking[0]
+    with pytest.raises(ValidationError) as info:
+        StratifiedComplex(strata, family)
+    top = max(strata[v] for v in least)
+    assert str(info.value) == f"simplex {list(least)} lies in X_{top} but has dimension {len(least) - 1}"
+
+
 def test_complex_vertex_and_label_validation():
     with pytest.raises(ValidationError, match="strings"):
         StratifiedComplex({1: 1}, [{1}])
@@ -160,11 +179,11 @@ def test_euler_characteristic():
 def test_cone_and_suspension_structure():
     ch = by_name("cone_hexagon")
     assert ch.dim == 2
-    assert ch.label("apex") == 0
+    assert ch.strata["apex"] == 0
     assert len(ch.maximal) == 6
     sus = by_name("susp_hexagon")
     assert sus.dim == 2 and len(sus.maximal) == 12
-    assert sus.label("north") == sus.label("south") == 0
+    assert sus.strata["north"] == sus.strata["south"] == 0
     st7 = by_name("susp_torus7")
     assert st7.dim == 3 and len(st7.maximal) == 28
 
@@ -187,13 +206,6 @@ def test_suspension_of_two_points_is_a_circle():
     assert sorted(sorted(f) for f in sus.maximal) == [
         ["north", "u"], ["north", "v"], ["south", "u"], ["south", "v"]]
     assert sus.dim == 1
-
-
-def test_link_of_apex_recovers_base():
-    ch = by_name("cone_hexagon")
-    assert link(ch, "apex").same_labeled_complex(circle(6, 2))
-    with pytest.raises(ValidationError, match="unknown vertex"):
-        link(ch, "nope")
 
 
 def test_barycentric_subdivision_counts_and_labels():
@@ -253,7 +265,7 @@ def test_perversity_ok_is_the_bound_for_every_codimension(m, data):
 def test_with_strata_and_with_perversity():
     k = by_name("torus7")
     flat = k.with_strata(2)
-    assert flat.same_labeled_complex(k)
+    assert flat.strata == k.strata and flat.simplices == k.simplices
     upper = k.with_perversity(Perversity((0,)))
     assert upper.perversity.values == (0,)
     with pytest.raises(ValidationError, match="covers codimensions"):
@@ -264,7 +276,7 @@ def test_complex_json_roundtrip():
     k = by_name("susp_torus7")
     doc = complex_to_json(k)
     back = complex_from_json(doc)
-    assert back.same_labeled_complex(k)
+    assert back.strata == k.strata and back.simplices == k.simplices
     assert back.perversity.to_json() == k.perversity.to_json()
     with pytest.raises(ValidationError, match="missing"):
         complex_from_json({"dim": 3})

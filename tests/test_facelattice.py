@@ -19,7 +19,6 @@ from strathom.facelattice import (
     from_word,
     ic_basis,
     ic_flag_rank,
-    ic_lattices,
     ic_words,
     lattice_from_json,
     lattice_to_json,
@@ -162,7 +161,7 @@ def test_dual_is_an_involution_and_swaps_cube_octahedron():
 
 
 def test_flag_rank_small_dimensions():
-    got = [flag_rank([l for _, l in ic_lattices(n)]) for n in range(1, 5)]
+    got = [flag_rank(map(from_word, ic_words(n))) for n in range(1, 5)]
     assert got == [1, 2, 3, 5]
 
 
@@ -173,13 +172,13 @@ def test_flag_rank_rejects_mixed_or_empty_input():
         flag_rank([from_word("I"), from_word("II")])
 
 
-def test_ic_lattices_sorted_and_sized():
-    pairs = list(ic_lattices(3))
-    assert [w for w, _ in pairs] == sorted(w for w, _ in pairs)
-    assert len(pairs) == 8
-    assert all(l.dim == 3 for _, l in pairs)
-    with pytest.raises(DomainError):
-        ic_lattices(0)
+def test_ic_words_sorted_and_sized():
+    for n in range(1, 6):
+        words = ic_words(n)
+        assert words == sorted(set(words)) and len(words) == 2 ** n
+        assert all(len(w) == n for w in words)
+    with pytest.raises(DomainError, match="n >= 1"):
+        ic_words(0)
 
 
 def test_lattice_json_roundtrip():
@@ -365,7 +364,7 @@ def test_word_flag_vectors_of_cube_and_simplex_are_the_closed_forms():
 
 def test_word_flag_vectors_span_fibonacci_many_dimensions():
     for n in range(1, 7):
-        assert ic_flag_rank(n) == flag_rank(lattice for _, lattice in ic_lattices(n)), n
+        assert ic_flag_rank(n) == flag_rank(map(from_word, ic_words(n))), n
     assert [ic_flag_rank(n) for n in range(1, 11)] == [fibonacci(n + 1) for n in range(1, 11)]
     assert [fibonacci(n + 1) for n in range(1, 11)] == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
     with pytest.raises(DomainError, match="n >= 1"):

@@ -244,19 +244,21 @@ def test_prediction_of_a_combination_is_the_combination_of_h_vectors(case):
 
 
 def test_training_data_pairs_each_word_with_its_dual_polytope():
+    # the words are the pyramid and the prism of each basis word one shorter
     for n in range(1, 7):
-        assert ic_training_data(n) == [(flag_vector(dual(from_word(w))), eval_word(w))
-                                       for w, _ in ic_basis(n)]
+        shorter = [w for w, _ in ic_basis(n - 1)] if n > 1 else [""]
+        assert ic_training_data(n) == [(flag_vector(dual(from_word(c + w))), eval_word(c + w))
+                                       for w in shorter for c in "CI"]
 
 
 def test_basis_training_predicts_what_all_pairs_training_predicts():
     for n in range(1, 7):
-        basis = ic_training_data(n)
-        assert len(basis) == fibonacci(n + 1)
+        training = ic_training_data(n)
+        assert len(training) == 2 * fibonacci(n)
         for flag, _ in all_pairs(n):
             # flag is the dual of a word's polytope, flag.dual() the polytope
             for query in (flag, flag.dual()):
-                assert fit_and_predict(basis, query) == fit_and_predict(all_pairs(n), query)
+                assert fit_and_predict(training, query) == fit_and_predict(all_pairs(n), query)
 
 
 def test_fit_and_predict_takes_rational_pairs():

@@ -1,4 +1,4 @@
-"""Cells of shape (i,0) and (i,1), allowability with w-constraints, rank oracle checks."""
+"""Cells of shape (i,0) and (i,1), allowability with the apex floor, rank oracle checks."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +17,6 @@ from strathom.errors import ValidationError
 from strathom.exactla import ColumnReduction
 from strathom.lghomology import (
     Cell,
-    WSequence,
     _allowed_cells,
     cell_allowed,
     cell_boundary,
@@ -32,7 +31,7 @@ def _single_edge():
 
 
 def _oracle_inputs(k):
-    strata = {v: k.label(v) for v in k.vertices}
+    strata = {v: k.strata[v] for v in k.vertices}
     maximal = [tuple(sorted(f)) for f in k.maximal]
     return strata, maximal
 
@@ -117,8 +116,7 @@ def test_template_cells_are_the_specified_cells():
                     # cells allowed at a larger w are allowed at w = 0, so
                     # every boundary in use is compared at w = 0
                     for w1 in range(k.dim + 1):
-                        w = WSequence((w1,))
-                        spec = [c for c in cells if cell_allowed(k, c, w)]
+                        spec = [c for c in cells if cell_allowed(k, c, w1)]
                         got = list(_allowed_cells(k, i, j, w1))
                         assert [(j, pick(simplex)) for simplex, pick, _ in got] == \
                             [(c.j, c.images) for c in spec], (entry.name, i, j, w1)
@@ -128,7 +126,7 @@ def test_template_cells_are_the_specified_cells():
                                  for child, coef in cell_boundary(c).items()}
                         counts[i, j, w1] = len(spec)
             for w1 in range(k.dim + 1):
-                assert list(lg_ranks(k, 0, (w1,)).cells.values()) == [
+                assert list(lg_ranks(k, 0, w1).cells.values()) == [
                     counts[0, 0, w1], counts[1, 0, w1], counts[0, 1, w1]]
 
 
@@ -182,27 +180,16 @@ def test_boundary_sorts_columns_with_the_permutation_sign():
 
 
 def test_cell_allowed_desk_cases():
+    # a cell passes the perversity part exactly when it is allowed at w1 = 0,
+    # and its apex stratum is the largest w1 at which it is allowed
     ch = by_name("cone_hexagon")
-    rim = cell_allowed(ch, Cell.from_maps(("apex", "v0", "v1")), WSequence((0,)))
-    assert rim.allowed and rim.perversity_ok and rim.w_ok
-    assert rim.w1 == 0
-    deep_base = cell_allowed(ch, Cell.from_maps(("v1", "apex", "v0")), WSequence((0,)))
-    assert not deep_base.allowed and not deep_base.perversity_ok
-    high_apex = cell_allowed(ch, Cell.from_maps(("v0", "v1", "v2")), WSequence((1,)))
-    assert high_apex.allowed and high_apex.w1 == 2
-    low_apex = cell_allowed(ch, Cell.from_maps(("apex", "v0", "v1")), WSequence((1,)))
-    assert not low_apex.allowed and low_apex.perversity_ok and not low_apex.w_ok
-    assert low_apex.w1 == 0
-
-
-def test_w_sequence_validation():
-    with pytest.raises(ValidationError, match="at least one"):
-        WSequence(())
-    with pytest.raises(ValidationError, match=">= 0"):
-        WSequence((-1,))
-    with pytest.raises(ValidationError, match="single w entry"):
-        cell_allowed(by_name("cone_hexagon"), Cell.from_maps(("apex", "v0")),
-                     WSequence((0, 0)))
+    rim = Cell.from_maps(("apex", "v0", "v1"))
+    assert cell_allowed(ch, rim, 0) is True
+    assert cell_allowed(ch, rim, 1) is False
+    deep_base = Cell.from_maps(("v1", "apex", "v0"))
+    assert cell_allowed(ch, deep_base, 0) is False
+    high_apex = Cell.from_maps(("v0", "v1", "v2"))
+    assert cell_allowed(ch, high_apex, 2) and not cell_allowed(ch, high_apex, 3)
 
 
 def test_w_raises_the_apex_floor_monotonically():
@@ -212,7 +199,7 @@ def test_w_raises_the_apex_floor_monotonically():
     for i in (0, 1):
         for j in (0, 1):
             cells = enumerate_cells(ch, i, j)
-            allowed = {w1: {c for c in cells if cell_allowed(ch, c, WSequence((w1,)))}
+            allowed = {w1: {c for c in cells if cell_allowed(ch, c, w1)}
                        for w1 in (0, 1, 2)}
             assert allowed[2] <= allowed[1] <= allowed[0]
 
@@ -222,10 +209,10 @@ def test_w_raises_the_apex_floor_monotonically():
 
 def test_lg_ranks_desk_values():
     ch = by_name("cone_hexagon")
-    rep0 = lg_ranks(ch, 0, (0,))
+    rep0 = lg_ranks(ch, 0, 0)
     assert rep0.rank == 1
     assert rep0.cells == {"(0,0)": 24, "(1,0)": 18, "(0,1)": 168}
-    rep1 = lg_ranks(ch, 1, (0,))
+    rep1 = lg_ranks(ch, 1, 0)
     assert rep1.rank == 0
     assert rep1.cells == {"(1,0)": 18, "(2,0)": 18, "(1,1)": 1314}
 
@@ -242,7 +229,7 @@ def test_lg_ranks_desk_values():
 ])
 def test_lg_ranks_match_brute_force_oracle(name, i, w1, expected):
     k = by_name(name)
-    live = lg_ranks(k, i, (w1,)).rank
+    live = lg_ranks(k, i, w1).rank
     strata, maximal = _oracle_inputs(k)
     assert live == naive_lg_rank(strata, maximal, k.perversity, i, w1) == expected
 
@@ -260,7 +247,7 @@ def test_lg_ranks_match_the_oracle_on_random_complexes(k, data):
         return sum(1 for c in cells if _lg_allowed(c, strata, k.dim, k.perversity, w1))
 
     for i in (0, 1) if k.dim <= 2 else (0,):
-        report = lg_ranks(k, i, (w1,))
+        report = lg_ranks(k, i, w1)
         assert report.rank == naive_lg_rank(strata, maximal, k.perversity, i, w1)
         assert list(report.cells.values()) == [
             allowed(_lg_cone_cells(simplices, i)), allowed(_lg_cone_cells(simplices, i + 1)),
@@ -281,12 +268,12 @@ def test_boundary_columns_stop_once_they_span_the_cycles(monkeypatch):
         return add_column(self, col)
 
     monkeypatch.setattr(ColumnReduction, "add_column", counted)
-    vanishing = lg_ranks(sd, 1, (0,))
+    vanishing = lg_ranks(sd, 1, 0)
     assert vanishing.rank == 0
     assert vanishing.cells == {"(1,0)": 180, "(2,0)": 108, "(1,1)": 9396}
     assert calls <= vanishing.cells["(1,0)"] + vanishing.cells["(2,0)"]
     calls = 0
-    nonzero = lg_ranks(sd, 0, (0,))
+    nonzero = lg_ranks(sd, 0, 0)
     assert nonzero.rank == 1
     assert nonzero.cells == {"(0,0)": 132, "(1,0)": 180, "(0,1)": 1632}
     assert calls == sum(nonzero.cells.values()) == 1944
@@ -294,15 +281,17 @@ def test_boundary_columns_stop_once_they_span_the_cycles(monkeypatch):
 
 def test_lg_ranks_validation_and_empty_complex():
     ch = by_name("cone_hexagon")
-    with pytest.raises(ValidationError, match="order-one"):
-        lg_ranks(ch, 0, (0, 0))
-    with pytest.raises(ValidationError, match=">= 0"):
-        lg_ranks(ch, -1, (0,))
-    with pytest.raises(ValidationError, match="w_1 must lie"):
-        lg_ranks(ch, 0, (3,))
     empty = StratifiedComplex({}, [])
-    assert lg_ranks(empty, 0, (0,)).rank == 0
-    assert lg_ranks(empty, 2, (0,)).rank == 0
+    # the apex floor is checked first, even on the empty complex
+    for k in (ch, empty):
+        with pytest.raises(ValidationError, match="w-sequence entries must be integers >= 0"):
+            lg_ranks(k, -1, -1)
+    with pytest.raises(ValidationError, match="base dimension must be >= 0"):
+        lg_ranks(ch, -1, 0)
+    with pytest.raises(ValidationError, match="w_1 must lie"):
+        lg_ranks(ch, 0, 3)
+    assert lg_ranks(empty, 0, 0).rank == 0
+    assert lg_ranks(empty, 2, 0).rank == 0
 
 
 def test_lg_ranks_independent_of_stratification():
@@ -311,14 +300,23 @@ def test_lg_ranks_independent_of_stratification():
         k = by_name(name)
         flat = k.with_strata(max(k.dim, 0))
         for i in (0, 1):
-            assert lg_ranks(k, i, (0,)).rank == lg_ranks(flat, i, (0,)).rank, (name, i)
+            assert lg_ranks(k, i, 0).rank == lg_ranks(flat, i, 0).rank, (name, i)
 
 
 def test_lg_ranks_stable_under_barycentric_subdivision():
     ch = by_name("cone_hexagon")
     sd = barycentric_subdivision(ch)
-    assert lg_ranks(sd, 0, (0,)).rank == lg_ranks(ch, 0, (0,)).rank == 1
-    assert lg_ranks(sd, 1, (0,)).rank == lg_ranks(ch, 1, (0,)).rank == 0
+    assert lg_ranks(sd, 0, 0).rank == lg_ranks(ch, 0, 0).rank == 1
+    assert lg_ranks(sd, 1, 0).rank == lg_ranks(ch, 1, 0).rank == 0
+
+
+@settings(deadline=None, max_examples=25)
+@given(small_complexes().filter(lambda k: k.dim <= 2))
+def test_lg_ranks_invariant_under_barycentric_subdivision(k):
+    sd = barycentric_subdivision(k)
+    for i in (0, 1):
+        for w1 in range(k.dim + 1):
+            assert lg_ranks(sd, i, w1).rank == lg_ranks(k, i, w1).rank, (i, w1)
 
 
 def test_double_boundary_vanishes_on_corpus_cells():
