@@ -192,6 +192,15 @@ def test_cell_allowed_desk_cases():
     assert cell_allowed(ch, high_apex, 2) and not cell_allowed(ch, high_apex, 3)
 
 
+def test_w_sequence_validation():
+    # the apex floor is checked first, before the base dimension and even
+    # on the empty complex
+    for k in (by_name("cone_hexagon"), StratifiedComplex({}, [])):
+        for i in (-1, 0):
+            with pytest.raises(ValidationError, match="w-sequence entries must be integers >= 0"):
+                lg_ranks(k, i, -1)
+
+
 def test_w_raises_the_apex_floor_monotonically():
     # Cells allowed at a larger w form a subset of those allowed at a
     # smaller one; the rank itself is not monotone and is not asserted.
@@ -282,10 +291,6 @@ def test_boundary_columns_stop_once_they_span_the_cycles(monkeypatch):
 def test_lg_ranks_validation_and_empty_complex():
     ch = by_name("cone_hexagon")
     empty = StratifiedComplex({}, [])
-    # the apex floor is checked first, even on the empty complex
-    for k in (ch, empty):
-        with pytest.raises(ValidationError, match="w-sequence entries must be integers >= 0"):
-            lg_ranks(k, -1, -1)
     with pytest.raises(ValidationError, match="base dimension must be >= 0"):
         lg_ranks(ch, -1, 0)
     with pytest.raises(ValidationError, match="w_1 must lie"):
