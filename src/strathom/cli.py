@@ -124,55 +124,62 @@ def _cmd_shapes(args) -> dict:
     return {"all_zero": all_zero}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_IN = ("--in", {"dest": "infile", "required": True})
+
+# name -> (handler, help, arguments); each argument is (flag, add_argument options)
+_COMMANDS = {
+    "word": (_cmd_word, "h-vector of a word over {I, C}", [("--word", {"required": True})]),
+    "iccheck": (_cmd_iccheck, "verify the IC-equation on all short words", [
+        ("--max-len", {"type": int, "required": True, "help": f"at most {MAX_ICCHECK_LEN}"}),
+    ]),
+    "flag": (_cmd_flag, "flag vector of a face lattice", [_IN]),
+    "fibrank": (_cmd_fibrank, "rank of the IC flag vectors in one dimension", [
+        ("--dim", {"type": int, "required": True, "help": f"at most {MAX_FIBRANK_DIM}"}),
+    ]),
+    "fit": (_cmd_fit, "fit linear forms on IC data and predict a query", [
+        ("--dim", {"type": int, "required": True, "help": f"at most {MAX_FIT_DIM}"}),
+        ("--predict", {"required": True, "help": "lattice or flag vector JSON"}),
+    ]),
+    "ih": (_cmd_ih, "intersection homology ranks of a complex", [_IN]),
+    "lg": (_cmd_lg, "order-one local-global rank of a complex", [
+        _IN,
+        ("--dim-seq", {"required": True, "help": "dimension sequence, e.g. 1,0"}),
+        ("--w", {"type": int, "required": True}),
+    ]),
+    "shapes": (_cmd_shapes, "boundary-of-boundary sweep over shapes", [
+        ("--dd-check", {"action": "store_true"}),
+        ("--max-total-dim", {"type": int, "required": True,
+                             "help": f"at most {MAX_SHAPES_TOTAL_DIM}"}),
+    ]),
+}
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for one call: only the subparser that argv[0] names, or
+    all of them when it names none (help, usage errors).
+
+    The usage line is spelled out so that it lists every subcommand either
+    way, and the subparsers take their prog from `add_subparsers` rather
+    than from that usage line.
+    """
     parser = argparse.ArgumentParser(
         prog="strathom",
+        usage=f"%(prog)s [-h] {{{','.join(_COMMANDS)}}} ...",
         description="Exact intersection homology and pyramid/prism h-calculus.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("word", help="h-vector of a word over {I, C}")
-    p.add_argument("--word", required=True)
-    p.set_defaults(handler=_cmd_word)
-
-    p = sub.add_parser("iccheck", help="verify the IC-equation on all short words")
-    p.add_argument("--max-len", type=int, required=True, help=f"at most {MAX_ICCHECK_LEN}")
-    p.set_defaults(handler=_cmd_iccheck)
-
-    p = sub.add_parser("flag", help="flag vector of a face lattice")
-    p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(handler=_cmd_flag)
-
-    p = sub.add_parser("fibrank", help="rank of the IC flag vectors in one dimension")
-    p.add_argument("--dim", type=int, required=True, help=f"at most {MAX_FIBRANK_DIM}")
-    p.set_defaults(handler=_cmd_fibrank)
-
-    p = sub.add_parser("fit", help="fit linear forms on IC data and predict a query")
-    p.add_argument("--dim", type=int, required=True, help=f"at most {MAX_FIT_DIM}")
-    p.add_argument("--predict", required=True, help="lattice or flag vector JSON")
-    p.set_defaults(handler=_cmd_fit)
-
-    p = sub.add_parser("ih", help="intersection homology ranks of a complex")
-    p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(handler=_cmd_ih)
-
-    p = sub.add_parser("lg", help="order-one local-global rank of a complex")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--dim-seq", required=True, help="dimension sequence, e.g. 1,0")
-    p.add_argument("--w", type=int, required=True)
-    p.set_defaults(handler=_cmd_lg)
-
-    p = sub.add_parser("shapes", help="boundary-of-boundary sweep over shapes")
-    p.add_argument("--dd-check", action="store_true")
-    p.add_argument("--max-total-dim", type=int, required=True,
-                   help=f"at most {MAX_SHAPES_TOTAL_DIM}")
-    p.set_defaults(handler=_cmd_shapes)
-
+    sub = parser.add_subparsers(dest="command", required=True, prog="strathom")
+    for name in [argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS:
+        handler, help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -59,7 +59,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from operator import itemgetter
 
 from .complexes import StratifiedComplex, perversity_ok
@@ -292,35 +292,51 @@ def cell_allowed(k: StratifiedComplex, cell: Cell, w1: int) -> bool:
     return ok and apex >= w1
 
 
-def _allowed_cells(k: StratifiedComplex, i: int, j: int, w1: int):
-    """(simplex, pick, boundary) for every cell of shape (i, j) allowed at
-    the apex floor w1, in `enumerate_cells` order.
+class _Template:
+    """One template of `_templates`, its boundary compiled on first use.
 
-    The cell's images are pick(simplex).  Its boundary lists (child j,
-    child pick, coefficient) in `cell_boundary` order, the child's images
-    being child pick(simplex).  Each template's boundary is compiled once,
-    and its verdict is decided once per label vector of a simplex.
+    pick(simplex) renames the template into a cell of that simplex.  terms
+    lists the template's boundary as (child j, child pick, coefficient) in
+    `cell_boundary` order, the child's images being child pick(simplex).
+    """
+
+    def __init__(self, j, images):
+        self.j = j
+        self.images = images
+        self.pick = itemgetter(*images)
+
+    @cached_property
+    def terms(self):
+        return [(c.j, itemgetter(*c.images), coef)
+                for c, coef in cell_boundary(Cell(self.j, self.images)).items()]
+
+
+def _allowed_cells(k: StratifiedComplex, i: int, j: int, w1: int):
+    """(simplex, template) for every cell of shape (i, j) allowed at the
+    apex floor w1, in `enumerate_cells` order; the cell is
+    template.pick(simplex).
+
+    Each template's boundary is compiled once, when the first of its cells
+    is fed to a reduction and reads its terms, so the cells `lg_ranks` only
+    counts past its exit compile nothing.  Its verdict is decided once per
+    label vector of a simplex.  Templates are built anew on every call.
     """
     m, p, strata = k.dim, k.perversity, k.strata
     for s in _sizes(k, i, j):
-        compiled = [
-            (itemgetter(*t),
-             [(c.j, itemgetter(*c.images), coef) for c, coef in cell_boundary(Cell(j, t)).items()])
-            for t in _templates(i, j, s)
-        ]
+        templates = [_Template(j, t) for t in _templates(i, j, s)]
         verdicts = {}
         for simplex in k.simplices_of_dim(s - 1):
             labels = tuple([strata[v] for v in simplex])
             keep = verdicts.get(labels)
             if keep is None:
                 keep = []
-                for entry in compiled:
-                    ok, apex = _label_verdict(entry[0](labels), j, m, p)
+                for t in templates:
+                    ok, apex = _label_verdict(t.pick(labels), j, m, p)
                     if ok and apex >= w1:
-                        keep.append(entry)
+                        keep.append(t)
                 verdicts[labels] = keep
-            for pick, terms in keep:
-                yield simplex, pick, terms
+            for t in keep:
+                yield simplex, t
 
 
 def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
@@ -337,7 +353,8 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
     B lies in Z: once the stray parts cancel, what a combination leaves is
     its whole boundary, a cycle because the boundary squares to zero.
     Column operations never remove a pivot, so that count only grows, and
-    feeding stops once it reaches dim Z; the cells left are only counted.
+    feeding stops once it reaches dim Z; the cells left are only counted,
+    and their boundaries are never compiled.
     """
     if w1 < 0:
         raise ValidationError(f"w-sequence entries must be integers >= 0, got {w1!r}")
@@ -354,10 +371,10 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
     rows = {}
     zred = ColumnReduction()
     # rows are keyed by (j, images) of the cells they stand for
-    for simplex, pick, terms in _allowed_cells(k, i, 0, w1):
-        pos[0, pick(simplex)] = len(pos)
+    for simplex, t in _allowed_cells(k, i, 0, w1):
+        pos[0, t.pick(simplex)] = len(pos)
         zred.add_column(
-            {rows.setdefault((cj, cpick(simplex)), len(rows)): coef for cj, cpick, coef in terms}
+            {rows.setdefault((cj, cpick(simplex)), len(rows)): coef for cj, cpick, coef in t.terms}
         )
     n_allowed = len(pos)
     cycles = n_allowed - zred.rank
@@ -368,12 +385,12 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
     counts = [n_allowed]
     for base_dim, j in ((i + 1, 0), (i, 1)):
         n = 0
-        for simplex, _, terms in _allowed_cells(k, base_dim, j, w1):
+        for simplex, t in _allowed_cells(k, base_dim, j, w1):
             n += 1
             if boundaries == cycles:
                 continue
             col = {}
-            for cj, cpick, coef in terms:
+            for cj, cpick, coef in t.terms:
                 child = cj, cpick(simplex)
                 r = pos.get(child)
                 if r is None:

@@ -341,8 +341,36 @@ def test_bad_dim_seq_exits_one(capsys, tmp_path):
     assert code == 1 and "dim-seq" in err
 
 
+USAGE = "usage: strathom [-h] {word,iccheck,flag,fibrank,fit,ih,lg,shapes} ..."
+SUBCOMMAND_HELP = {
+    "word": "h-vector of a word over {I, C}",
+    "iccheck": "verify the IC-equation on all short words",
+    "flag": "flag vector of a face lattice",
+    "fibrank": "rank of the IC flag vectors in one dimension",
+    "fit": "fit linear forms on IC data and predict a query",
+    "ih": "intersection homology ranks of a complex",
+    "lg": "order-one local-global rank of a complex",
+    "shapes": "boundary-of-boundary sweep over shapes",
+}
+
+
 def test_usage_errors_and_help(capsys):
-    assert run(capsys, ["nosuchcommand"])[0] == 1
-    assert run(capsys, [])[0] == 1
-    assert run(capsys, ["--help"])[0] == 0
+    # a call builds only the subparser it names, yet every usage line and
+    # the top-level help still name all eight subcommands
+    for argv in ([], ["nosuchcommand"], ["word", "--word", "IC", "extra"]):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 2 and lines[0] == USAGE, argv
+        assert lines[1].startswith("strathom: error: "), argv
+        if not argv:
+            assert "arguments are required: command" in lines[1]
+    code, out, err = run(capsys, ["--help"])
+    assert code == 0 and err == "" and out.startswith(USAGE + "\n")
+    # help strings may wrap with the terminal width
+    flat = " ".join(out.split())
+    for name, help_text in SUBCOMMAND_HELP.items():
+        assert f" {name} {help_text}" in flat, name
+        code, out, err = run(capsys, [name, "-h"])
+        assert code == 0 and err == "" and out.startswith(f"usage: strathom {name} [-h]")
     assert run(capsys, ["word"])[0] == 1

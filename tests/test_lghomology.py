@@ -1,4 +1,6 @@
 """Cells of shape (i,0) and (i,1), allowability with the apex floor, rank oracle checks."""
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from oracles import (
     naive_lg_rank,
 )
 from random_complexes import small_complexes
+from strathom import lghomology
 from strathom.complexes import StratifiedComplex, barycentric_subdivision
 from strathom.corpus import by_name, small_members
 from strathom.errors import ValidationError
@@ -118,10 +121,10 @@ def test_template_cells_are_the_specified_cells():
                     for w1 in range(k.dim + 1):
                         spec = [c for c in cells if cell_allowed(k, c, w1)]
                         got = list(_allowed_cells(k, i, j, w1))
-                        assert [(j, pick(simplex)) for simplex, pick, _ in got] == \
+                        assert [(j, t.pick(simplex)) for simplex, t in got] == \
                             [(c.j, c.images) for c in spec], (entry.name, i, j, w1)
-                        for c, (simplex, _, terms) in zip(spec, got) if w1 == 0 else ():
-                            assert {(cj, cpick(simplex)): coef for cj, cpick, coef in terms} == \
+                        for c, (simplex, t) in zip(spec, got) if w1 == 0 else ():
+                            assert {(cj, cpick(simplex)): coef for cj, cpick, coef in t.terms} == \
                                 {(child.j, child.images): coef
                                  for child, coef in cell_boundary(c).items()}
                         counts[i, j, w1] = len(spec)
@@ -286,6 +289,24 @@ def test_boundary_columns_stop_once_they_span_the_cycles(monkeypatch):
     assert nonzero.rank == 1
     assert nonzero.cells == {"(0,0)": 132, "(1,0)": 180, "(0,1)": 1632}
     assert calls == sum(nonzero.cells.values()) == 1944
+
+
+def test_prisms_past_the_exit_are_counted_but_never_compiled(monkeypatch):
+    # At i = 1 on sd(cone_square) B spans Z within the (2,0) columns, so the
+    # (1,1) prisms are only counted and none of their boundaries is built.
+    sd = barycentric_subdivision(by_name("cone_square"))
+    compiled = Counter()
+    boundary = lghomology.cell_boundary
+
+    def counted(cell):
+        compiled[cell.i, cell.j] += 1
+        return boundary(cell)
+
+    monkeypatch.setattr(lghomology, "cell_boundary", counted)
+    report = lg_ranks(sd, 1, 0)
+    assert compiled[1, 1] == 0 and compiled[1, 0] > 0
+    assert (report.rank, report.cycles) == (0, 49)
+    assert report.cells == {"(1,0)": 120, "(2,0)": 72, "(1,1)": 6264}
 
 
 def test_lg_ranks_validation_and_empty_complex():
