@@ -100,7 +100,7 @@ def _cmd_ih(args) -> dict:
         "ranks": list(report.ranks),
         "cycles": list(report.cycles),
         "boundaries": list(report.boundaries),
-        "perversity": report.perversity.to_json(),
+        "perversity": k.perversity.to_json(),
     }
 
 
@@ -111,7 +111,7 @@ def _cmd_lg(args) -> dict:
     i = int(parts[0])
     k = complex_from_json(_load_json(args.infile))
     report = lg_ranks(k, i, args.w)
-    return {"rank": report.rank, "cells": report.cells, "w": list(report.w)}
+    return {"rank": report.rank, "cells": report.cells, "w": [args.w]}
 
 
 def _cmd_shapes(args) -> dict:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import Perversity, StratifiedComplex, perversity_ok
+from .complexes import StratifiedComplex, perversity_ok
 # not called here; perfbench/tracing.py still looks this name up on this module
 from .complexes import allowable_simplex  # noqa: F401
 from .exactla import ColumnReduction
@@ -52,7 +52,6 @@ class BettiReport:
     ranks: tuple[int, ...]
     cycles: tuple[int, ...]
     boundaries: tuple[int, ...]
-    perversity: Perversity
 
     def __post_init__(self):
         for b in self.ranks:
@@ -80,7 +79,7 @@ def ih_ranks(k: StratifiedComplex) -> BettiReport:
     """
     m = k.dim
     if m < 0:
-        return BettiReport((), (), (), k.perversity)
+        return BettiReport((), (), ())
     spaces = chain_spaces(k)
     rank_nd = [0] * (m + 1)
     boundaries = [0] * (m + 1)
@@ -104,4 +103,4 @@ def ih_ranks(k: StratifiedComplex) -> BettiReport:
         del red, rows
     cycles = [len(space.basis) - r for space, r in zip(spaces, rank_nd)]
     ranks = [z - b for z, b in zip(cycles, boundaries)]
-    return BettiReport(tuple(ranks), tuple(cycles), tuple(boundaries), k.perversity)
+    return BettiReport(tuple(ranks), tuple(cycles), tuple(boundaries))

@@ -6,6 +6,8 @@ on the stratified simplex simplex(j) x C(simplex(i)) of `stratsimplex`: it
 records one cone map at each vertex of simplex(j), the image of the apex
 followed by the images of the i+1 base corners, and sweeps between them.
 Shape (i, 0) is a single cone, shape (i, 1) an interval crossed with one.
+A cell is the pair (j, images), its j+1 cone maps stored end to end; the
+base dimension i is read off the length of images.
 The i+1 base columns, the images of one base corner under every cone map,
 are the positions that the chain groups alternate over: permuting them
 multiplies a cell by the sign of the permutation, so each chain group has
@@ -68,7 +70,6 @@ from .exactla import ColumnReduction
 from .stratsimplex import StratifiedShape, facets
 
 __all__ = [
-    "Cell",
     "LgReport",
     "enumerate_cells",
     "cell_boundary",
@@ -76,44 +77,6 @@ __all__ = [
     "lg_ranks",
     "cells_dd_check",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class Cell:
-    """Affine cell of shape (i, j): j+1 cone maps, stored end to end.
-
-    images holds, for each vertex of simplex(j) in turn, the apex image
-    followed by the i+1 base images.  The fields are taken as given;
-    `from_maps` checks them.  The images must jointly span a simplex of the
-    ambient complex; an apex may coincide with a base corner, and a single
-    map may repeat base vertices when j = 1, without degenerating the cell.
-    """
-
-    j: int
-    images: tuple
-
-    @classmethod
-    def from_maps(cls, *maps) -> "Cell":
-        """The cell sweeping over the given cone maps, (apex, base...) each."""
-        if len(maps) not in (1, 2):
-            raise ValidationError(f"a cell sweeps over 1 or 2 cone maps, got {len(maps)}")
-        if len({len(f) for f in maps}) != 1 or len(maps[0]) < 2:
-            raise ValidationError("cone maps of a cell must share one base length >= 1")
-        return cls(len(maps) - 1, tuple(itertools.chain.from_iterable(maps)))
-
-    @property
-    def i(self) -> int:
-        return len(self.images) // (self.j + 1) - 2
-
-    def maps(self) -> tuple:
-        return _maps(self.j, self.images)
-
-    @property
-    def degenerate(self) -> bool:
-        return not _canonical(self.j, self.images)[0]
-
-    def __str__(self):
-        return "(" + " -> ".join(f"{f[0]}; {','.join(f[1:])}" for f in self.maps()) + ")"
 
 
 def _maps(j, images):
@@ -128,7 +91,6 @@ def _maps(j, images):
 class LgReport:
     rank: int
     cells: dict
-    w: tuple
     cycles: int
     boundaries: int
 
@@ -164,7 +126,8 @@ def _templates(i: int, j: int, s: int) -> list:
 
 
 def enumerate_cells(k: StratifiedComplex, i: int, j: int = 0) -> list:
-    """Every non-degenerate cell of shape (i, j) with sorted columns.
+    """Every non-degenerate cell (j, images) of shape (i, j) with sorted
+    columns.
 
     Canonical form: the columns increase, and the supporting simplex is
     the exact span of the images, so a cell never appears again from a
@@ -181,7 +144,7 @@ def enumerate_cells(k: StratifiedComplex, i: int, j: int = 0) -> list:
     for s in _sizes(k, i, j):
         picks = [itemgetter(*t) for t in _templates(i, j, s)]
         for simplex in k.simplices_of_dim(s - 1):
-            out.extend(Cell(j, pick(simplex)) for pick in picks)
+            out.extend((j, pick(simplex)) for pick in picks)
     return out
 
 
@@ -225,21 +188,23 @@ def _canonical(j, images):
     return (-1 if inversions % 2 else 1), moved
 
 
-def cell_boundary(cell: Cell) -> dict:
-    """Signed facet sum of a cell, {cell with sorted columns: coefficient}.
+def cell_boundary(cell: tuple) -> dict:
+    """Signed facet sum of a cell (j, images), {cell with sorted columns:
+    coefficient}.
 
     The facets and their signs are those of the cell's shape under
     `stratsimplex.facets`.  Degenerate summands are dropped, coefficients
     that cancel are left out, and degenerate input gives the empty sum.
     """
-    sign, images = _canonical(cell.j, cell.images)
+    j, images = cell
+    sign, images = _canonical(j, images)
     out = {}
     if not sign:
         return out
-    for fsign, child_j, pick in _facet_plan(cell.i, cell.j):
+    for fsign, child_j, pick in _facet_plan(len(images) // (j + 1) - 2, j):
         csign, child = _canonical(child_j, pick(images))
         if csign:
-            key = Cell(child_j, child)
+            key = child_j, child
             out[key] = out.get(key, 0) + sign * fsign * csign
     return {child: coef for child, coef in out.items() if coef}
 
@@ -265,18 +230,19 @@ def _perversity_ok(labels, i, j, m, p):
     return True
 
 
-def _label_verdict(labels, j, m, p):
-    """(perversity part passes, apex stratum w_1) of a cell of shape (i, j)
-    whose images, end to end, carry these labels."""
+def _label_verdict(labels, j, m, p, w1):
+    """Whether a cell of shape (i, j) whose images, end to end, carry these
+    labels passes the perversity part and has its apex stratum w_1 at
+    least w1."""
     width = len(labels) // (j + 1)
     # with no label <= m - 2 no point of the cell lies in a singular stratum
     ok = min(labels) > m - 2 or _perversity_ok(labels, width - 2, j, m, p)
-    return ok, max(labels[::width])
+    return ok and max(labels[::width]) >= w1
 
 
-def cell_allowed(k: StratifiedComplex, cell: Cell, w1: int) -> bool:
-    """Perversity admissibility of one cell with its apex at least as deep
-    as the floor w1.
+def cell_allowed(k: StratifiedComplex, cell: tuple, w1: int) -> bool:
+    """Perversity admissibility of one cell (j, images) with its apex at
+    least as deep as the floor w1.
 
     Only slices with the coning parameter away from zero are constrained,
     so apex labels never enter the perversity part.  Writing d = m - c, for
@@ -287,28 +253,28 @@ def cell_allowed(k: StratifiedComplex, cell: Cell, w1: int) -> bool:
     the largest apex label, the deepest point of the apex path, and must
     be at least w1.
     """
+    j, images = cell
     strata = k.strata
-    ok, apex = _label_verdict([strata[v] for v in cell.images], cell.j, k.dim, k.perversity)
-    return ok and apex >= w1
+    return _label_verdict([strata[v] for v in images], j, k.dim, k.perversity, w1)
 
 
 class _Template:
     """One template of `_templates`, its boundary compiled on first use.
 
-    pick(simplex) renames the template into a cell of that simplex.  terms
+    cell is the template as a cell (j, images) in local indices, and
+    pick(simplex) renames it into a cell of that simplex.  terms
     lists the template's boundary as (child j, child pick, coefficient) in
     `cell_boundary` order, the child's images being child pick(simplex).
     """
 
     def __init__(self, j, images):
-        self.j = j
-        self.images = images
+        self.cell = j, images
         self.pick = itemgetter(*images)
 
     @cached_property
     def terms(self):
-        return [(c.j, itemgetter(*c.images), coef)
-                for c, coef in cell_boundary(Cell(self.j, self.images)).items()]
+        return [(cj, itemgetter(*cimages), coef)
+                for (cj, cimages), coef in cell_boundary(self.cell).items()]
 
 
 def _allowed_cells(k: StratifiedComplex, i: int, j: int, w1: int):
@@ -329,12 +295,8 @@ def _allowed_cells(k: StratifiedComplex, i: int, j: int, w1: int):
             labels = tuple([strata[v] for v in simplex])
             keep = verdicts.get(labels)
             if keep is None:
-                keep = []
-                for t in templates:
-                    ok, apex = _label_verdict(t.pick(labels), j, m, p)
-                    if ok and apex >= w1:
-                        keep.append(t)
-                verdicts[labels] = keep
+                keep = verdicts[labels] = [
+                    t for t in templates if _label_verdict(t.pick(labels), j, m, p, w1)]
             for t in keep:
                 yield simplex, t
 
@@ -363,7 +325,7 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
     m = k.dim
     keys = (f"({i},0)", f"({i + 1},0)", f"({i},1)")
     if m < 0:
-        return LgReport(rank=0, cells=dict.fromkeys(keys, 0), w=(w1,), cycles=0, boundaries=0)
+        return LgReport(rank=0, cells=dict.fromkeys(keys, 0), cycles=0, boundaries=0)
     if w1 > m:
         raise ValidationError(f"w_1 must lie in 0..{m} for this complex, got {w1}")
 
@@ -403,7 +365,7 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
 
     assert 0 <= boundaries <= cycles, "boundary space escaped the cycle space"
     return LgReport(
-        rank=cycles - boundaries, cells=dict(zip(keys, counts)), w=(w1,),
+        rank=cycles - boundaries, cells=dict(zip(keys, counts)),
         cycles=cycles, boundaries=boundaries,
     )
 
@@ -421,7 +383,7 @@ def cells_dd_check(k: StratifiedComplex) -> bool:
             for s in _sizes(k, i, j):
                 for images in _templates(i, j, s):
                     total = Counter()
-                    for child, coef in cell_boundary(Cell(j, images)).items():
+                    for child, coef in cell_boundary((j, images)).items():
                         for grand, coef2 in cell_boundary(child).items():
                             total[grand] += coef * coef2
                     if any(total.values()):

@@ -9,6 +9,7 @@ from strathom.complexes import (
     StratifiedComplex,
     allowable_simplex,
     barycentric_subdivision,
+    suspension,
 )
 from strathom.corpus import CORPUS, by_name
 from strathom.exactla import ColumnReduction
@@ -97,7 +98,7 @@ def test_empty_complex_has_no_ranks():
 
 def test_betti_report_rejects_negative_ranks():
     with pytest.raises(AssertionError):
-        BettiReport((-1,), (0,), (1,), Perversity.middle(1))
+        BettiReport((-1,), (0,), (1,))
 
 
 @settings(deadline=None, max_examples=25)
@@ -171,3 +172,26 @@ def test_chain_spaces_keep_exactly_the_allowable_simplices(entry, subdivided):
         assert len(spaces) == k.dim + 1
         for i, space in enumerate(spaces):
             assert space.basis == tuple(f for f in k.simplices_of_dim(i) if allowable_simplex(k, f))
+
+
+def _manifolds():
+    sphere, torus = by_name("sphere2"), by_name("torus7")
+    # the 3-sphere, every vertex in the top stratum
+    s3 = suspension(sphere.with_strata(3)).with_strata(3)
+    return [
+        pytest.param(sphere, id="sphere2"),
+        pytest.param(torus, id="torus7"),
+        pytest.param(barycentric_subdivision(sphere), id="sd-sphere2"),
+        pytest.param(barycentric_subdivision(torus), id="sd-torus7"),
+        *(pytest.param(s3.with_perversity(p), id="susp_sphere2-p" + "".join(map(str, p.values)))
+          for p in _every_perversity(3)),
+    ]
+
+
+@pytest.mark.parametrize("k", _manifolds())
+def test_a_manifold_vertex_is_a_removable_stratum(k):
+    # Labeling one vertex of a manifold as a point stratum leaves the
+    # intersection homology unchanged (King, Topology Appl. 1985).
+    ranks = ih_ranks(k).ranks
+    for v in k.vertices:
+        assert ih_ranks(k.with_strata({**k.strata, v: 0})).ranks == ranks, v
