@@ -10,7 +10,12 @@ vertices of the open top stratum; values above m are tolerated so that
 a base complex can already carry the labels its cone or suspension
 will need.
 
-A simplex is always the tuple of its vertex names in sorted order.
+A vertex's number is its position in the sorted tuple of vertex names,
+and a simplex is always the sorted tuple of its vertex numbers.  Numbers
+follow name order, so every sorted order of simplices is the order of
+their names.  Names come back only where a complex meets the outside:
+its JSON document, error messages, and the new vertices that cone,
+suspension and barycentric subdivision name.
 
 Allowability is stated in real codimension c: an i-simplex F passes
 when dim(F cap X_{m-c}) <= i - c + p(c) for every c in {2, ..., m}.
@@ -104,12 +109,14 @@ class StratifiedComplex:
     empty sets and entries that are faces of others are dropped).  The
     empty complex (no vertices) is legal and has dimension -1.
 
-    Every simplex is held as the tuple of its vertex names in sorted
-    order: `maximal` and `simplices` hold such tuples, and the buckets of
-    `simplices_of_dim` share the tuple objects of `simplices`.
+    `vertices` holds the names in sorted order and `labels[v]` the label
+    of vertex number v.  Every simplex is held as the sorted tuple of its
+    vertex numbers: `maximal` and `simplices` hold such tuples, and the
+    buckets of `simplices_of_dim` share the tuple objects of `simplices`.
     """
 
-    __slots__ = ("vertices", "strata", "maximal", "simplices", "dim", "perversity", "_by_dim")
+    __slots__ = ("vertices", "strata", "labels", "maximal", "simplices", "dim", "perversity",
+                 "_by_dim")
 
     def __init__(self, strata, maximal_simplices, perversity=None):
         strata = dict(strata)
@@ -129,7 +136,9 @@ class StratifiedComplex:
             raise ValidationError(
                 f"vertex set and union of maximal simplices disagree on {missing}"
             )
-        facets = {tuple(sorted(f)) for f in facets if f}
+        self.vertices = tuple(sorted(strata))
+        number = {v: n for n, v in enumerate(self.vertices)}
+        facets = {tuple(sorted(map(number.__getitem__, f))) for f in facets if f}
         # largest first: every strictly larger facet has already put its
         # faces in `faces`, so a facet is maximal exactly when it is not there yet
         maximal = []
@@ -141,8 +150,8 @@ class StratifiedComplex:
             faces.add(f)
             for size in range(1, len(f)):
                 faces.update(combinations(f, size))
-        self.vertices = tuple(sorted(strata))
         self.strata = strata
+        self.labels = labels = tuple(map(strata.__getitem__, self.vertices))
         self.maximal = tuple(sorted(maximal))
         self.simplices = frozenset(faces)
         self.dim = max(map(len, maximal), default=0) - 1
@@ -151,14 +160,14 @@ class StratifiedComplex:
         # facet's sorted labels have l_q < m and q > l_q: its first q + 1
         # vertices span a q-face in X_{l_q}
         for f in maximal:
-            if any(q > t for q, t in enumerate(sorted(strata[v] for v in f)) if t < m):
+            if any(q > t for q, t in enumerate(sorted(labels[v] for v in f)) if t < m):
                 # name the least offender, whatever order the set yields them in
                 f, top = min(
                     (g, t) for g in faces
-                    if (t := max(strata[v] for v in g)) < m and len(g) - 1 > t
+                    if (t := max(labels[v] for v in g)) < m and len(g) - 1 > t
                 )
                 raise ValidationError(
-                    f"simplex {list(f)} lies in X_{top} but has dimension {len(f) - 1}"
+                    f"simplex {self.names(f)} lies in X_{top} but has dimension {len(f) - 1}"
                 )
         if perversity is None:
             perversity = Perversity.middle(m)
@@ -169,8 +178,8 @@ class StratifiedComplex:
         self.perversity = perversity
         self._by_dim = None
 
-    def simplices_of_dim(self, i: int) -> tuple[tuple[str, ...], ...]:
-        """The i-simplices as sorted vertex tuples, in sorted order.
+    def simplices_of_dim(self, i: int) -> tuple[tuple[int, ...], ...]:
+        """The i-simplices as sorted vertex-number tuples, in sorted order.
 
         All degrees are bucketed in one pass on the first call and shared
         by later ones.
@@ -183,9 +192,12 @@ class StratifiedComplex:
         return self._by_dim[i] if 0 <= i <= self.dim else ()
 
     def has_simplex(self, f) -> bool:
-        """Whether the vertices of f, in any order and with repeats, span a simplex."""
-        f = set(f)
-        return f <= self.strata.keys() and tuple(sorted(f)) in self.simplices
+        """Whether the vertex numbers in f, in any order and with repeats, span a simplex."""
+        return tuple(sorted(set(f))) in self.simplices
+
+    def names(self, f) -> list[str]:
+        """The names of the vertex numbers in f, in the order of f."""
+        return [self.vertices[v] for v in f]
 
     def euler_characteristic(self) -> int:
         return sum(-1 if len(f) % 2 == 0 else 1 for f in self.simplices)
@@ -194,10 +206,10 @@ class StratifiedComplex:
         """The same complex relabeled; strata may be a map or a constant."""
         if isinstance(strata, int):
             strata = {v: strata for v in self.vertices}
-        return StratifiedComplex(strata, self.maximal, self.perversity)
+        return StratifiedComplex(strata, map(self.names, self.maximal), self.perversity)
 
     def with_perversity(self, perversity: Perversity) -> "StratifiedComplex":
-        return StratifiedComplex(self.strata, self.maximal, perversity)
+        return StratifiedComplex(self.strata, map(self.names, self.maximal), perversity)
 
 
 def allowable_simplex(k: StratifiedComplex, simplex) -> bool:
@@ -209,8 +221,9 @@ def allowable_simplex(k: StratifiedComplex, simplex) -> bool:
     """
     f = set(simplex)
     if not k.has_simplex(f):
-        raise ValidationError(f"{sorted(f)} is not a simplex of the complex")
-    depth = sorted(k.strata[v] for v in f)
+        shown = k.names(sorted(f)) if f <= set(range(len(k.vertices))) else simplex
+        raise ValidationError(f"{shown} is not a simplex of the complex")
+    depth = sorted(k.labels[v] for v in f)
     return perversity_ok(depth, len(f) - 1, k.dim, k.perversity)
 
 
@@ -249,7 +262,7 @@ def cone(k: StratifiedComplex) -> StratifiedComplex:
     (name,) = _fresh_names(k.vertices, ["apex"])
     strata = dict(k.strata)
     strata[name] = 0
-    maximal = [f + (name,) for f in k.maximal] or [(name,)]
+    maximal = [k.names(f) + [name] for f in k.maximal] or [(name,)]
     return StratifiedComplex(strata, maximal, k.perversity.resized(k.dim + 1))
 
 
@@ -258,7 +271,7 @@ def suspension(k: StratifiedComplex) -> StratifiedComplex:
     north, south = _fresh_names(k.vertices, ["north", "south"])
     strata = dict(k.strata)
     strata[north] = strata[south] = 0
-    maximal = [f + (apex,) for apex in (north, south) for f in k.maximal]
+    maximal = [k.names(f) + [apex] for apex in (north, south) for f in k.maximal]
     maximal = maximal or [(north,), (south,)]
     return StratifiedComplex(strata, maximal, k.perversity.resized(k.dim + 1))
 
@@ -271,8 +284,8 @@ def barycentric_subdivision(k: StratifiedComplex) -> StratifiedComplex:
     stratum of its highest-labeled vertex because strata closures are
     full.  Maximal simplices are the flags inside old maximal ones.
     """
-    name = {f: "|".join(f) for f in k.simplices}
-    strata = {name[f]: max(k.strata[v] for v in f) for f in k.simplices}
+    name = {f: "|".join(k.names(f)) for f in k.simplices}
+    strata = {name[f]: max(map(k.labels.__getitem__, f)) for f in k.simplices}
     maximal = [[name[tuple(sorted(order[:j]))] for j in range(1, len(order) + 1)]
                for f in k.maximal for order in permutations(f)]
     return StratifiedComplex(strata, maximal, k.perversity)
@@ -286,7 +299,7 @@ def complex_to_json(k: StratifiedComplex) -> dict:
         "dim": k.dim,
         "vertices": list(k.vertices),
         "strata": {v: k.strata[v] for v in k.vertices},
-        "maximal_simplices": [list(f) for f in k.maximal],
+        "maximal_simplices": [k.names(f) for f in k.maximal],
         "perversity": k.perversity.to_json(),
     }
 

@@ -31,6 +31,7 @@ skipping it leaves every pivot, hence both ranks, unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .complexes import StratifiedComplex, perversity_ok
 # not called here; perfbench/tracing.py still looks this name up on this module
@@ -40,7 +41,7 @@ from .exactla import ColumnReduction
 
 @dataclass(frozen=True)
 class ChainSpace:
-    """Basis of allowable simplices in one degree, sorted vertex lists."""
+    """Basis of allowable simplices in one degree, sorted vertex-number tuples."""
 
     basis: tuple
 
@@ -61,10 +62,10 @@ class BettiReport:
 
 def chain_spaces(k: StratifiedComplex) -> list[ChainSpace]:
     """Allowable simplices of every degree 0..dim, decided once per label vector."""
-    m, p, strata = k.dim, k.perversity, k.strata
+    m, p, label = k.dim, k.perversity, k.labels.__getitem__
     verdicts = {}
     def allowed(f):
-        labels = tuple([strata[v] for v in f])
+        labels = tuple(map(label, f))
         if labels not in verdicts:
             verdicts[labels] = perversity_ok(sorted(labels), len(f) - 1, m, p)
         return verdicts[labels]
@@ -91,11 +92,12 @@ def ih_ranks(k: StratifiedComplex) -> BettiReport:
         for f in k.simplices_of_dim(i - 1):
             rows.setdefault(f, len(rows))
         red, below = ColumnReduction(), bytearray(n_allowed)
+        # face q of combinations(simplex, i) drops vertex i - q
+        signs = [(-1) ** (i - q) for q in range(i + 1)]
         for simplex, skip in zip(spaces[i].basis, cleared):
             if skip:
                 continue
-            low = red.add_column({rows[simplex[:l] + simplex[l + 1:]]: 1 - 2 * (l & 1)
-                                  for l in range(len(simplex))})
+            low = red.add_column(dict(zip(map(rows.__getitem__, combinations(simplex, i)), signs)))
             if low is not None and low < n_allowed:
                 below[low] = 1
         rank_nd[i], boundaries[i - 1] = red.rank, below.count(1)

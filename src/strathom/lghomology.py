@@ -48,8 +48,8 @@ supported on the allowed cells.
 Cells are enumerated from local templates.  The template set (i, j, s)
 lists the canonical non-degenerate cells of shape (i, j) whose images span
 exactly the local simplex 0..s-1, with their boundaries in local indices.
-A simplex is the tuple of its vertex names in sorted order, so local order
-is name order: writing simplex[q] for q renames a template into a cell of
+A simplex is the sorted tuple of its vertex numbers, so local order is
+number order: writing simplex[q] for q renames a template into a cell of
 that simplex with its columns still sorted, its boundary signs unchanged
 and its facets still canonical.  Allowability reads only the labels the
 images carry, so each template is judged once per label vector of a
@@ -254,8 +254,7 @@ def cell_allowed(k: StratifiedComplex, cell: tuple, w1: int) -> bool:
     be at least w1.
     """
     j, images = cell
-    strata = k.strata
-    return _label_verdict([strata[v] for v in images], j, k.dim, k.perversity, w1)
+    return _label_verdict([k.labels[v] for v in images], j, k.dim, k.perversity, w1)
 
 
 class _Template:
@@ -278,27 +277,28 @@ class _Template:
 
 
 def _allowed_cells(k: StratifiedComplex, i: int, j: int, w1: int):
-    """(simplex, template) for every cell of shape (i, j) allowed at the
-    apex floor w1, in `enumerate_cells` order; the cell is
-    template.pick(simplex).
+    """(simplex, keep) for every simplex of a size that supports cells of
+    shape (i, j), in `enumerate_cells` order; the cells of that simplex
+    allowed at the apex floor w1 are t.pick(simplex) for t in keep, in
+    that order.
 
     Each template's boundary is compiled once, when the first of its cells
     is fed to a reduction and reads its terms, so the cells `lg_ranks` only
-    counts past its exit compile nothing.  Its verdict is decided once per
-    label vector of a simplex.  Templates are built anew on every call.
+    counts past its exit compile nothing.  The templates kept are decided
+    once per label vector of a simplex, and the same list is yielded for
+    every simplex carrying it.  Templates are built anew on every call.
     """
-    m, p, strata = k.dim, k.perversity, k.strata
+    m, p, label = k.dim, k.perversity, k.labels.__getitem__
     for s in _sizes(k, i, j):
         templates = [_Template(j, t) for t in _templates(i, j, s)]
         verdicts = {}
         for simplex in k.simplices_of_dim(s - 1):
-            labels = tuple([strata[v] for v in simplex])
+            labels = tuple(map(label, simplex))
             keep = verdicts.get(labels)
             if keep is None:
                 keep = verdicts[labels] = [
                     t for t in templates if _label_verdict(t.pick(labels), j, m, p, w1)]
-            for t in keep:
-                yield simplex, t
+            yield simplex, keep
 
 
 def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
@@ -316,7 +316,7 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
     its whole boundary, a cycle because the boundary squares to zero.
     Column operations never remove a pivot, so that count only grows, and
     feeding stops once it reaches dim Z; the cells left are only counted,
-    and their boundaries are never compiled.
+    a simplex at a time, and their boundaries are never compiled.
     """
     if w1 < 0:
         raise ValidationError(f"w-sequence entries must be integers >= 0, got {w1!r}")
@@ -333,11 +333,11 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
     rows = {}
     zred = ColumnReduction()
     # rows are keyed by (j, images) of the cells they stand for
-    for simplex, t in _allowed_cells(k, i, 0, w1):
-        pos[0, t.pick(simplex)] = len(pos)
-        zred.add_column(
-            {rows.setdefault((cj, cpick(simplex)), len(rows)): coef for cj, cpick, coef in t.terms}
-        )
+    for simplex, keep in _allowed_cells(k, i, 0, w1):
+        for t in keep:
+            pos[0, t.pick(simplex)] = len(pos)
+            zred.add_column({rows.setdefault((cj, cpick(simplex)), len(rows)): coef
+                             for cj, cpick, coef in t.terms})
     n_allowed = len(pos)
     cycles = n_allowed - zred.rank
 
@@ -347,20 +347,21 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
     counts = [n_allowed]
     for base_dim, j in ((i + 1, 0), (i, 1)):
         n = 0
-        for simplex, t in _allowed_cells(k, base_dim, j, w1):
-            n += 1
-            if boundaries == cycles:
-                continue
-            col = {}
-            for cj, cpick, coef in t.terms:
-                child = cj, cpick(simplex)
-                r = pos.get(child)
-                if r is None:
-                    r = n_allowed + stray.setdefault(child, len(stray))
-                col[r] = coef
-            low = bred.add_column(col)
-            if low is not None and low < n_allowed:
-                boundaries += 1
+        for simplex, keep in _allowed_cells(k, base_dim, j, w1):
+            n += len(keep)
+            for t in keep:
+                if boundaries == cycles:
+                    break
+                col = {}
+                for cj, cpick, coef in t.terms:
+                    child = cj, cpick(simplex)
+                    r = pos.get(child)
+                    if r is None:
+                        r = n_allowed + stray.setdefault(child, len(stray))
+                    col[r] = coef
+                low = bred.add_column(col)
+                if low is not None and low < n_allowed:
+                    boundaries += 1
         counts.append(n)
 
     assert 0 <= boundaries <= cycles, "boundary space escaped the cycle space"

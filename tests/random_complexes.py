@@ -1,4 +1,4 @@
-"""Hypothesis strategy for small random stratified complexes, shared by tests."""
+"""Small random stratified complexes and every perversity of a dimension, shared by tests."""
 from itertools import combinations
 
 from hypothesis import strategies as st
@@ -26,3 +26,11 @@ def small_complexes(draw):
     for _ in range(m - 2):
         values.append(values[-1] + draw(st.integers(min_value=0, max_value=1)))
     return StratifiedComplex(labels, facets, Perversity(tuple(values)))
+
+
+def every_perversity(m):
+    """All perversities on codimensions 2..m: p(2) = 0, steps of 0 or 1."""
+    out = [()] if m < 2 else [(0,)]
+    for _ in range(m - 2):
+        out = [p + (p[-1] + step,) for p in out for step in (0, 1)]
+    return [Perversity(p) for p in out]

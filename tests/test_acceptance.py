@@ -41,7 +41,7 @@ def _line(capsys, n, ok, detail):
 
 def _oracle_inputs(k):
     strata = {v: k.strata[v] for v in k.vertices}
-    maximal = [tuple(sorted(f)) for f in k.maximal]
+    maximal = [tuple(k.vertices[v] for v in f) for f in k.maximal]
     return strata, maximal
 
 

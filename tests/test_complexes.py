@@ -71,20 +71,28 @@ def test_perversity_json():
 # ---------------------------------------------------------------- complex
 
 
+def _numbers(k, names):
+    """The vertex numbers of the named vertices, in the given order."""
+    return [k.vertices.index(v) for v in names]
+
+
 def test_complex_normalizes_maximal_simplices():
     k = StratifiedComplex({"a": 1, "b": 1}, [{"a", "b"}, {"a"}])
-    assert k.maximal == (("a", "b"),)
+    assert k.vertices == ("a", "b") and k.labels == (1, 1)
+    assert k.maximal == ((0, 1),)
     assert k.dim == 1
-    assert k.has_simplex({"a"}) and k.has_simplex({"a", "b"})
-    assert not k.has_simplex({"a", "c"})
+    assert k.has_simplex(_numbers(k, "a")) and k.has_simplex(_numbers(k, "ab"))
+    # 2 is no vertex number, as "c" is no vertex
+    assert not k.has_simplex({0, 2})
 
 
 def test_has_simplex_reads_any_order_and_repeats():
     k = StratifiedComplex({"a": 1, "b": 1, "c": 1}, [["b", "a", "a"], ["c"]])
-    assert k.maximal == (("a", "b"), ("c",))
-    assert k.has_simplex(["b", "a", "a"]) and k.has_simplex(("b", "a"))
-    assert not k.has_simplex(["c", "a", "a"])
-    assert not k.has_simplex(["a", 1])
+    assert k.maximal == ((0, 1), (2,))
+    assert k.has_simplex(_numbers(k, "baa")) and k.has_simplex(tuple(_numbers(k, "ba")))
+    assert not k.has_simplex(_numbers(k, "caa"))
+    # members that are no vertex numbers, as 1 is no vertex name
+    assert not k.has_simplex([0, 3]) and not k.has_simplex([-1])
 
 
 @pytest.mark.parametrize("facets", [
@@ -114,14 +122,19 @@ def test_construction_matches_brute_force(family):
     sets = {frozenset(f) for f in family} - {frozenset()}
     strata = {v: 9 for f in sets for v in f}
     k = StratifiedComplex(strata, family)
+    assert k.vertices == tuple(sorted(strata))
+
+    def named(simplices):
+        return tuple(tuple(k.vertices[v] for v in f) for f in simplices)
+
     maximal = {f for f in sets if not any(f < g for g in sets)}
-    assert k.maximal == tuple(sorted(tuple(sorted(f)) for f in maximal))
+    assert named(k.maximal) == tuple(sorted(tuple(sorted(f)) for f in maximal))
     closure = {c for f in sets for r in range(1, len(f) + 1)
                for c in combinations(sorted(f), r)}
-    assert k.simplices == closure
+    assert set(named(k.simplices)) == closure
     assert k.dim == max(map(len, sets), default=0) - 1
     for i in range(-1, k.dim + 2):
-        assert k.simplices_of_dim(i) == tuple(sorted(f for f in closure if len(f) == i + 1))
+        assert named(k.simplices_of_dim(i)) == tuple(sorted(f for f in closure if len(f) == i + 1))
     # one tuple object per simplex, shared by `maximal` and the buckets
     stored = {f: f for f in k.simplices}
     assert all(stored[f] is f for f in k.maximal)
@@ -203,7 +216,7 @@ def test_cone_of_empty_complex_is_a_point():
 def test_suspension_of_two_points_is_a_circle():
     two = StratifiedComplex({"u": 1, "v": 1}, [{"u"}, {"v"}])
     sus = suspension(two)
-    assert sorted(sorted(f) for f in sus.maximal) == [
+    assert sorted(sorted(sus.vertices[v] for v in f) for f in sus.maximal) == [
         ["north", "u"], ["north", "v"], ["south", "u"], ["south", "v"]]
     assert sus.dim == 1
 
@@ -226,22 +239,26 @@ def test_subdivision_preserves_euler_characteristic(name):
 
 def test_allowability_on_the_coned_hexagon():
     ch = by_name("cone_hexagon")
-    assert not allowable_simplex(ch, {"apex"})
-    assert allowable_simplex(ch, {"v0"})
-    assert not allowable_simplex(ch, {"apex", "v0"})
-    assert allowable_simplex(ch, {"v0", "v1"})
-    assert allowable_simplex(ch, {"apex", "v0", "v1"})
-    with pytest.raises(ValidationError, match="not a simplex"):
-        allowable_simplex(ch, {"v0", "v3"})
+    assert not allowable_simplex(ch, _numbers(ch, ["apex"]))
+    assert allowable_simplex(ch, _numbers(ch, ["v0"]))
+    assert not allowable_simplex(ch, _numbers(ch, ["apex", "v0"]))
+    assert allowable_simplex(ch, _numbers(ch, ["v0", "v1"]))
+    assert allowable_simplex(ch, _numbers(ch, ["apex", "v0", "v1"]))
+    # the message names the vertices
+    with pytest.raises(ValidationError, match=r"\['v0', 'v3'\] is not a simplex"):
+        allowable_simplex(ch, _numbers(ch, ["v0", "v3"]))
 
 
 def test_allowable_simplex_reads_any_order_and_repeats():
     ch = by_name("cone_hexagon")
-    assert allowable_simplex(ch, ["v1", "v0", "v0"])
-    assert not allowable_simplex(ch, ["v0", "apex", "apex"])
-    assert allowable_simplex(ch, ["v1", "apex", "v0", "v1"])
+    assert allowable_simplex(ch, _numbers(ch, ["v1", "v0", "v0"]))
+    assert not allowable_simplex(ch, _numbers(ch, ["v0", "apex", "apex"]))
+    assert allowable_simplex(ch, _numbers(ch, ["v1", "apex", "v0", "v1"]))
     with pytest.raises(ValidationError, match="not a simplex"):
-        allowable_simplex(ch, ["v3", "v0", "v0"])
+        allowable_simplex(ch, _numbers(ch, ["v3", "v0", "v0"]))
+    for simplex in ([0, len(ch.vertices)], [-1, 0]):
+        with pytest.raises(ValidationError, match="not a simplex"):
+            allowable_simplex(ch, simplex)
 
 
 @settings(deadline=None, max_examples=200)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import naive_ih_betti, naive_ih_report, naive_ordinary_betti
-from random_complexes import small_complexes
+from random_complexes import every_perversity, small_complexes
 from strathom.complexes import (
     Perversity,
     StratifiedComplex,
@@ -32,7 +32,7 @@ EXPECTED_MIDDLE = {
 
 def _oracle_inputs(k):
     strata = {v: k.strata[v] for v in k.vertices}
-    maximal = [tuple(sorted(f)) for f in k.maximal]
+    maximal = [tuple(k.vertices[v] for v in f) for f in k.maximal]
     return strata, maximal
 
 
@@ -151,14 +151,6 @@ def test_clearing_skips_every_column_an_upper_pivot_proves_zero(monkeypatch, bui
     assert calls == sum(sizes[i] - rep.boundaries[i] for i in range(1, k.dim + 1))
 
 
-def _every_perversity(m):
-    """All perversities on codimensions 2..m: p(2) = 0, steps of 0 or 1."""
-    out = [()] if m < 2 else [(0,)]
-    for _ in range(m - 2):
-        out = [p + (p[-1] + step,) for p in out for step in (0, 1)]
-    return [Perversity(p) for p in out]
-
-
 @pytest.mark.parametrize("subdivided", [False, True], ids=["plain", "sd"])
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
 def test_chain_spaces_keep_exactly_the_allowable_simplices(entry, subdivided):
@@ -166,7 +158,7 @@ def test_chain_spaces_keep_exactly_the_allowable_simplices(entry, subdivided):
     if subdivided:
         k = barycentric_subdivision(k)
     # the middle perversity is one of them
-    for perversity in _every_perversity(k.dim):
+    for perversity in every_perversity(k.dim):
         k = k.with_perversity(perversity)
         spaces = chain_spaces(k)
         assert len(spaces) == k.dim + 1
@@ -184,7 +176,7 @@ def _manifolds():
         pytest.param(barycentric_subdivision(sphere), id="sd-sphere2"),
         pytest.param(barycentric_subdivision(torus), id="sd-torus7"),
         *(pytest.param(s3.with_perversity(p), id="susp_sphere2-p" + "".join(map(str, p.values)))
-          for p in _every_perversity(3)),
+          for p in every_perversity(3)),
     ]
 
 
