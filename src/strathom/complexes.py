@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 from .errors import ValidationError, is_int
 
@@ -112,7 +112,8 @@ class StratifiedComplex:
     `vertices` holds the names in sorted order and `labels[v]` the label
     of vertex number v.  Every simplex is held as the sorted tuple of its
     vertex numbers: `maximal` and `simplices` hold such tuples, and the
-    buckets of `simplices_of_dim` share the tuple objects of `simplices`.
+    buckets of `simplices_of_dim`, filled by size while the faces are
+    generated, share the tuple objects of `simplices`.
     """
 
     __slots__ = ("vertices", "strata", "labels", "maximal", "simplices", "dim", "perversity",
@@ -140,30 +141,32 @@ class StratifiedComplex:
         number = {v: n for n, v in enumerate(self.vertices)}
         facets = {tuple(sorted(map(number.__getitem__, f))) for f in facets if f}
         # largest first: every strictly larger facet has already put its
-        # faces in `faces`, so a facet is maximal exactly when it is not there yet
+        # faces in the bucket of f's size, so f is maximal exactly when it is not there yet
         maximal = []
-        faces = set()
+        by_size = [set() for _ in range(max(map(len, facets), default=0) + 1)]
         for f in sorted(facets, key=len, reverse=True):
-            if f in faces:
+            if f in by_size[len(f)]:
                 continue
             maximal.append(f)
-            faces.add(f)
+            by_size[len(f)].add(f)
             for size in range(1, len(f)):
-                faces.update(combinations(f, size))
+                by_size[size].update(combinations(f, size))
         self.strata = strata
         self.labels = labels = tuple(map(strata.__getitem__, self.vertices))
         self.maximal = tuple(sorted(maximal))
-        self.simplices = frozenset(faces)
-        self.dim = max(map(len, maximal), default=0) - 1
-        m = self.dim
+        # each size's set is dropped once its bucket is sorted, and `simplices` is built
+        # after, so the sets and the frozenset's growing table are never alive together
+        self._by_dim = tuple(tuple(sorted(by_size.pop(1))) for _ in range(len(by_size) - 1))
+        self.simplices = frozenset(chain.from_iterable(self._by_dim))
+        self.dim = m = len(self._by_dim) - 1
         # a face of X_t (t < m) above dimension t exists exactly when some
         # facet's sorted labels have l_q < m and q > l_q: its first q + 1
         # vertices span a q-face in X_{l_q}
-        for f in maximal:
-            if any(q > t for q, t in enumerate(sorted(labels[v] for v in f)) if t < m):
+        for vec in {tuple(map(labels.__getitem__, f)) for f in maximal}:
+            if any(q > t for q, t in enumerate(sorted(vec)) if t < m):
                 # name the least offender, whatever order the set yields them in
                 f, top = min(
-                    (g, t) for g in faces
+                    (g, t) for g in self.simplices
                     if (t := max(labels[v] for v in g)) < m and len(g) - 1 > t
                 )
                 raise ValidationError(
@@ -176,19 +179,13 @@ class StratifiedComplex:
                 f"perversity covers codimensions 2..{perversity.top_codim}, complex needs 2..{m}"
             )
         self.perversity = perversity
-        self._by_dim = None
 
     def simplices_of_dim(self, i: int) -> tuple[tuple[int, ...], ...]:
         """The i-simplices as sorted vertex-number tuples, in sorted order.
 
-        All degrees are bucketed in one pass on the first call and shared
-        by later ones.
+        The faces are bucketed by size while the constructor builds them,
+        and each bucket is sorted there once.
         """
-        if self._by_dim is None:
-            buckets = [[] for _ in range(self.dim + 1)]
-            for f in self.simplices:
-                buckets[len(f) - 1].append(f)
-            self._by_dim = tuple(tuple(sorted(b)) for b in buckets)
         return self._by_dim[i] if 0 <= i <= self.dim else ()
 
     def has_simplex(self, f) -> bool:

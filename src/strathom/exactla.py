@@ -6,25 +6,27 @@ flag-vector prediction with its consistency and span tests, goes through
 one integer column reduction.  solve_right (integer Gauss-Jordan
 elimination, with Fractions only in the solutions) has no caller in the
 package; perfbench/tracing.py still looks it up on hcalc.
+
+One engine serves short and long columns: an elimination step
+a*col - b*piv keeps a > 0, so no step flips a column's sign, and the
+lowest row comes from max() until a column passes _HEAP_AFTER entries,
+then from a heap of its rows.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import filterfalse
 from math import gcd, lcm
 
 _GROWTH_LIMIT = 1 << 48
+_HEAP_AFTER = 128
 
 
 def _normalized(col: dict[int, int]) -> dict[int, int]:
     """Divide a sparse integer column by the gcd of its entries."""
-    g = 0
-    for v in col.values():
-        g = gcd(g, v)
-        if g == 1:
-            return col
-    if g > 1:
-        return {r: v // g for r, v in col.items()}
-    return col
+    g = gcd(*col.values())
+    return {r: v // g for r, v in col.items()} if g > 1 else col
 
 
 class ColumnReduction:
@@ -34,6 +36,13 @@ class ColumnReduction:
     {row: coefficient} dicts.  Reduction keeps at most one stored column
     per pivot row, so the number of stored pivots is the rank of
     everything fed so far.
+
+    Each step col <- a*col - b*piv has a, b coprime and a > 0 (both are
+    negated otherwise), which fixes a stored column only up to sign.  The
+    low row is max(col) up to _HEAP_AFTER entries; past that the rows are
+    heapified once and each step pushes the rows the pivot brings in.  A
+    pivot lies at or below the current low, so a stale row at the top of
+    the heap never comes back and is dropped when popped.
     """
 
     def __init__(self) -> None:
@@ -41,23 +50,35 @@ class ColumnReduction:
 
     def add_column(self, col: dict[int, int]) -> int | None:
         """Reduce one column; return the pivot row it claims, or None."""
-        col = {r: v for r, v in col.items() if v}
+        col = dict(col) if all(col.values()) else {r: v for r, v in col.items() if v}
         pivots = self._pivots
+        heap = None
         while col:
-            low = max(col)
+            if heap is None:
+                low = max(col)
+                if len(col) > _HEAP_AFTER:
+                    heap = [-r for r in col]
+                    heapify(heap)
+            else:
+                while -heap[0] not in col:
+                    heappop(heap)
+                low = -heap[0]
             piv = pivots.get(low)
             if piv is None:
-                col = _normalized(col)
-                pivots[low] = col
+                pivots[low] = _normalized(col)
                 return low
             a, b = piv[low], col[low]
-            g = gcd(a, b)
+            g = gcd(a, b) if a > 0 else -gcd(a, b)
             a //= g
             b //= g
             # col <- a*col - b*piv, which zeroes row `low` exactly.
             if a != 1:
                 for r in col:
                     col[r] *= a
+            if heap is not None:
+                # walks piv only; piv.keys() - col.keys() would walk all of col
+                for r in filterfalse(col.__contains__, piv):
+                    heappush(heap, -r)
             grew = False
             for r, v in piv.items():
                 w = col.get(r, 0) - b * v

@@ -61,15 +61,21 @@ class BettiReport:
 
 
 def chain_spaces(k: StratifiedComplex) -> list[ChainSpace]:
-    """Allowable simplices of every degree 0..dim, decided once per label vector."""
+    """Allowable simplices of every degree 0..dim, decided once per label vector.
+
+    A simplex with no vertex labelled <= m - 2 meets no singular stratum
+    and passes on sight.
+    """
     m, p, label = k.dim, k.perversity, k.labels.__getitem__
+    deep = frozenset(v for v, s in enumerate(k.labels) if s <= m - 2)
     verdicts = {}
     def allowed(f):
         labels = tuple(map(label, f))
         if labels not in verdicts:
             verdicts[labels] = perversity_ok(sorted(labels), len(f) - 1, m, p)
         return verdicts[labels]
-    return [ChainSpace(tuple(filter(allowed, k.simplices_of_dim(i)))) for i in range(m + 1)]
+    return [ChainSpace(tuple(f for f in k.simplices_of_dim(i) if deep.isdisjoint(f) or allowed(f)))
+            for i in range(m + 1)]
 
 
 def ih_ranks(k: StratifiedComplex) -> BettiReport:

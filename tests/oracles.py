@@ -86,6 +86,31 @@ def nullspace(rows, ncols):
     return basis
 
 
+def column_pivots(columns):
+    """Lowest-row column reduction over the rationals.
+
+    Columns are {row: integer} dicts fed in order; each is reduced by
+    subtracting Fraction multiples of earlier reduced columns until its
+    largest nonzero row is no earlier column's pivot.  Returns that row
+    for every column, or None where the column reduces to zero.
+    """
+    reduced = {}
+    out = []
+    for col in columns:
+        col = {r: Fraction(v) for r, v in col.items() if v}
+        while col and max(col) in reduced:
+            piv = reduced[max(col)]
+            ratio = col[max(col)] / piv[max(col)]
+            for r, v in piv.items():
+                col[r] = col.get(r, 0) - ratio * v
+                if not col[r]:
+                    del col[r]
+        if col:
+            reduced[max(col)] = col
+        out.append(max(col) if col else None)
+    return out
+
+
 # ------------------------------------------------------------- h-vectors
 
 

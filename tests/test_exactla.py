@@ -1,15 +1,65 @@
-"""Exact rank and solving of dense matrices against the Fraction oracle."""
+"""Exact rank, column pivots and solving, checked against the Fraction oracles."""
+import signal
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_rank as oracle_rank
-from strathom.exactla import dense_rank, solve_right
+from oracles import column_pivots, dense_rank as oracle_rank
+from strathom.exactla import _GROWTH_LIMIT, _HEAP_AFTER, ColumnReduction, dense_rank, solve_right
 
 
 def matrices(entries):
     return st.integers(0, 6).flatmap(
         lambda ncols: st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=7))
+
+
+@st.composite
+def _sparse_columns(draw):
+    """Integer columns over up to three times the heap threshold in rows:
+    sparse ones, half-dense ones that can pass the threshold, and integer
+    combinations of earlier columns, which reduce to zero through long
+    fill-in.  About one column in ten has entries past the growth limit."""
+    nrows = draw(st.integers(1, 3 * _HEAP_AFTER))
+    rnd = draw(st.randoms(use_true_random=True))
+    columns = []
+    for _ in range(draw(st.integers(1, 40))):
+        shape = rnd.choice(["sparse", "dense", "combination"])
+        bound = 4 * _GROWTH_LIMIT if rnd.random() < 0.1 else 6
+        def coefficient():
+            return rnd.choice([-1, 1]) * rnd.randint(1, bound)
+        if shape == "combination" and columns:
+            col = {}
+            for earlier in rnd.sample(columns, min(len(columns), rnd.randint(1, 3))):
+                a = coefficient()
+                for r, v in earlier.items():
+                    col[r] = col.get(r, 0) + a * v
+        elif shape == "dense":
+            col = {r: coefficient() for r in range(nrows) if rnd.random() < 0.5}
+        else:
+            col = {rnd.randrange(nrows): coefficient() for _ in range(rnd.randint(0, 8))}
+        columns.append(col)
+    return columns
+
+
+def _stop(signum, frame):
+    raise TimeoutError
+
+
+@settings(deadline=None, max_examples=150)
+@given(_sparse_columns())
+def test_add_column_claims_the_oracle_pivots(columns):
+    # a step that fails to zero the low row loops forever, so it must fail, not hang
+    reduction = ColumnReduction()
+    previous = signal.signal(signal.SIGALRM, _stop)
+    signal.alarm(2)
+    try:
+        pivots = [reduction.add_column(col) for col in columns]
+    except TimeoutError:
+        pivots = "a reduction still running after 2 s"
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert pivots == column_pivots(columns)
 
 
 @settings(deadline=None, max_examples=200)
