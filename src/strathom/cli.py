@@ -36,6 +36,7 @@ __all__ = ["main"]
 MAX_ICCHECK_LEN = 18
 MAX_FIBRANK_DIM = 13
 MAX_FIT_DIM = 13
+MAX_FLAG_DIM = 16
 MAX_SHAPES_TOTAL_DIM = 14
 
 
@@ -68,6 +69,7 @@ def _cmd_iccheck(args) -> dict:
 
 def _cmd_flag(args) -> dict:
     lattice = lattice_from_json(_load_json(args.infile))
+    _check_limit("lattice dimension", lattice.dim, MAX_FLAG_DIM)
     return flag_vector(lattice).to_json()
 
 
@@ -83,12 +85,14 @@ def _cmd_fit(args) -> dict:
     doc = _load_json(args.predict)
     # the query may arrive as a face lattice or directly as a flag vector
     if isinstance(doc, dict) and "faces" in doc:
-        query = flag_vector(lattice_from_json(doc))
+        query = lattice_from_json(doc)
     else:
         query = FlagVector.from_json(doc)
     if query.dim != args.dim:
-        # refused before any basis or training pair is built
+        # refused before any flag vector, basis or training pair is built
         raise DomainError(f"query has dimension {query.dim}, training has dimension {args.dim}")
+    if not isinstance(query, FlagVector):
+        query = flag_vector(query)
     prediction = fit_and_predict(ic_training_data(args.dim), query)
     return {"h": [int(v) for v in prediction]}
 
@@ -132,7 +136,10 @@ _COMMANDS = {
     "iccheck": (_cmd_iccheck, "verify the IC-equation on all short words", [
         ("--max-len", {"type": int, "required": True, "help": f"at most {MAX_ICCHECK_LEN}"}),
     ]),
-    "flag": (_cmd_flag, "flag vector of a face lattice", [_IN]),
+    "flag": (_cmd_flag, "flag vector of a face lattice", [
+        ("--in", {"dest": "infile", "required": True,
+                  "help": f"face lattice of dimension at most {MAX_FLAG_DIM}"}),
+    ]),
     "fibrank": (_cmd_fibrank, "rank of the IC flag vectors in one dimension", [
         ("--dim", {"type": int, "required": True, "help": f"at most {MAX_FIBRANK_DIM}"}),
     ]),

@@ -20,10 +20,9 @@ are the reference it is tested against.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations, product
-from operator import or_
+from itertools import chain, combinations, product
 
 from .errors import DomainError, ValidationError, is_int
 from .exactla import ColumnReduction, dense_rank
@@ -87,11 +86,7 @@ class FaceLattice:
             if dims[k] < n and not up[k]:
                 raise ValidationError(f"face {i!r} has no upper cover")
         # Diamond property: every length-2 interval has exactly two middles.
-        counts: dict[tuple[int, int], int] = {}
-        for b in range(len(ids)):
-            for a in down[b]:
-                for c in up[b]:
-                    counts[a, c] = counts.get((a, c), 0) + 1
+        counts = Counter(chain.from_iterable(map(product, down, up)))
         for (a, c), cnt in counts.items():
             if cnt != 2:
                 raise ValidationError(
@@ -301,59 +296,43 @@ def _subset_keys(n: int) -> list[str]:
 
 
 def flag_vector(lattice: FaceLattice) -> FlagVector:
-    """Count chains of proper faces for every dimension subset.
+    """Count chains of proper faces for every dimension subset, in one pass
+    over the faces in order of dimension.
 
-    Subsets are walked depth first.  A subset ending in dimension d
-    carries its chain counts per face of dimension d; a child adding a
-    larger dimension e sums them over the faces below each face of
-    dimension e, so every entry costs one step from its parent's.
+    Each proper face k carries one integer chains[k] packing 2^n fields of
+    `width` bits: field m counts the chains with dimension set m whose top
+    face is k.  Such a chain is k on top of a chain of faces strictly below
+    k, whose dimension set lies under bit dim k, so chains[k] is 1 (the
+    empty chain) plus the sum of chains[j] over the faces j below k, shifted
+    by width << dim k: that moves field m to field m + 2^dim k.  The flag
+    vector is 1 + the sum of all chains[k], read off field by field.  The
+    cost is one packed addition per comparable pair of proper faces.
+
+    No field carries into the next.  Chains with different top faces are
+    different, so a field of any sum formed here counts distinct chains with
+    one dimension set T and is at most f_T.  Construction has validated the
+    lattice as graded with covers one dimension apart, so every T-chain
+    extends along covers to a maximal chain from the empty face to the top:
+    f_T is at most their number N, which `paths` counts over the covers,
+    and width is the bit length of N rounded up to whole bytes.
     """
     n = lattice.dim
-    # levels[d] = the proper faces of dimension d, given consecutive bits
-    levels = [[] for _ in range(n)]
-    for k, d in enumerate(lattice.dims):
-        if 0 <= d < n:
-            levels[d].append(k)
-    offset = [0] * n
-    bit = {}
-    for d, level in enumerate(levels):
-        offset[d] = len(bit)
-        for k in level:
-            bit[k] = 1 << len(bit)
-    # below[k] = bitmask of the proper faces strictly below face k
-    below = {}
-    for level in levels:
-        for k in level:
-            below[k] = reduce(or_, [below[j] | bit[j] for j in lattice._down[k] if j in bit], 0)
-    # inc[a, b][q] = positions in levels[a] of the faces below levels[b][q];
-    # level -1 is the empty face, below every face
-    inc = {}
-    for b, level in enumerate(levels):
-        inc[-1, b] = [(0,)] * len(level)
-        for a in range(b):
-            width = (1 << len(levels[a])) - 1
-            rows = []
-            for k in level:
-                m = below[k] >> offset[a] & width
-                ps = []
-                while m:
-                    low = m & -m
-                    ps.append(low.bit_length() - 1)
-                    m ^= low
-                rows.append(ps)
-            inc[a, b] = rows
-    entries = [0] * (1 << n)
-    entries[0] = 1  # the empty chain
-
-    def extend(prefix, last, vec):
-        for d in range(last + 1, n):
-            nxt = [sum(map(vec.__getitem__, ps)) for ps in inc[last, d]]
-            mask = prefix | 1 << d
-            entries[mask] = sum(nxt)
-            extend(mask, d, nxt)
-
-    extend(0, -1, [1])
-    return FlagVector(n, tuple(entries))
+    dims, down = lattice.dims, lattice._down
+    order = sorted(range(len(dims)), key=dims.__getitem__)
+    paths = [1] * len(dims)  # maximal chains from the empty face to each face
+    for k in order[1:]:
+        paths[k] = sum(map(paths.__getitem__, down[k]))
+    size = (paths[order[-1]].bit_length() + 7) // 8
+    width = 8 * size
+    below = [()] * len(dims)  # below[k] = the proper faces at or below k
+    chains = [0] * len(dims)
+    for k in order[1:-1]:
+        faces = set().union(*map(below.__getitem__, down[k]))
+        chains[k] = (1 + sum(map(chains.__getitem__, faces))) << (width << dims[k])
+        below[k] = (*faces, k)  # a tuple holds them in a fraction of a set's memory
+    packed = (1 + sum(chains)).to_bytes(size << n, "little")
+    return FlagVector(n, tuple(int.from_bytes(packed[i:i + size], "little")
+                               for i in range(0, size << n, size)))
 
 
 def flag_rank(lattices) -> int:

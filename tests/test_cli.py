@@ -34,6 +34,15 @@ def write_json(tmp_path, name, doc):
     return str(path)
 
 
+def thin_lattice_doc(n):
+    """The lattice document with two faces in every dimension 0..n-1, each
+    covering both faces one dimension down: valid, with 2n + 2 faces."""
+    ranks = [["e"]] + [[f"{d}a", f"{d}b"] for d in range(n)] + [["t"]]
+    faces = [{"id": i, "dim": d - 1} for d, rank in enumerate(ranks) for i in rank]
+    covers = [[lo, hi] for below, above in zip(ranks, ranks[1:]) for lo in below for hi in above]
+    return {"dim": n, "faces": faces, "covers": covers}
+
+
 def test_word(capsys):
     code, out, err = run(capsys, ["word", "--word", "III"])
     assert code == 0 and err == ""
@@ -94,6 +103,20 @@ def test_fit_refuses_a_query_of_another_dimension_before_training(
     assert err == "error: query has dimension 3, training has dimension 10\n"
 
 
+def test_fit_refuses_a_lattice_query_of_another_dimension_before_its_flag_vector(
+        capsys, monkeypatch, tmp_path):
+    # the flag vector of a 40-dimensional lattice has 2^40 entries
+    def refuse(*args):
+        raise AssertionError("no flag vector may be counted for a mismatched query")
+
+    monkeypatch.setattr(cli, "flag_vector", refuse)
+    monkeypatch.setattr(cli, "ic_training_data", refuse)
+    path = write_json(tmp_path, "thin40.json", thin_lattice_doc(40))
+    code, out, err = run(capsys, ["fit", "--dim", "6", "--predict", path])
+    assert code == 1 and out == ""
+    assert err == "error: query has dimension 40, training has dimension 6\n"
+
+
 def test_ih(capsys, tmp_path):
     path = write_json(tmp_path, "st7.json", complex_to_json(by_name("susp_torus7")))
     code, out, err = run(capsys, ["ih", "--in", path])
@@ -142,6 +165,7 @@ def test_validation_failures_exit_one_with_message(capsys, argv):
     (["fibrank", "--dim", "14"], "ic_flag_rank"),
     (["fit", "--dim", "14", "--predict", "QUERY"], "ic_training_data"),
     (["shapes", "--dd-check", "--max-total-dim", "15"], "iter_shapes"),
+    (["flag", "--in", "THIN17"], "flag_vector"),
 ])
 def test_exponential_subcommands_refuse_arguments_above_their_limit(
         capsys, monkeypatch, tmp_path, argv, work):
@@ -149,8 +173,9 @@ def test_exponential_subcommands_refuse_arguments_above_their_limit(
         raise AssertionError("no work may start above the limit")
 
     monkeypatch.setattr(cli, work, refuse)
-    query = write_json(tmp_path, "q.json", {"dim": 8, "entries": {}})
-    code, out, err = run(capsys, [query if a == "QUERY" else a for a in argv])
+    files = {"QUERY": write_json(tmp_path, "q.json", {"dim": 8, "entries": {}}),
+             "THIN17": write_json(tmp_path, "thin17.json", thin_lattice_doc(17))}
+    code, out, err = run(capsys, [files.get(a, a) for a in argv])
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "above the limit" in err
     assert err.count("\n") == 1

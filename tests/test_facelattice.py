@@ -24,6 +24,8 @@ from strathom.facelattice import (
     lattice_to_json,
     parse_word,
     point,
+    prism,
+    pyramid,
 )
 
 OCTA_FACETS = [
@@ -128,6 +130,20 @@ def test_validation_catches_broken_posets():
         FaceLattice({"e": -1, "u": 0, "v": 0, "w": 0, "t": 1},
                     [("e", "u"), ("e", "v"), ("e", "w"),
                      ("u", "t"), ("v", "t"), ("w", "t")])
+
+
+def test_diamond_failure_names_the_first_interval_met():
+    # A triangle whose edge x gets a third vertex d: (e, x) has 3 middles and
+    # (d, t) has 1.  Intervals are met through their middles in id order, so
+    # (e, x), reached through the middle a, is named before (d, t), reached
+    # through the middle x, although "d" sorts before "e".
+    faces = {"e": -1, "a": 0, "b": 0, "c": 0, "d": 0, "x": 1, "y": 1, "z": 1, "t": 2}
+    covers = [("e", v) for v in "abcd"] + [
+        ("a", "x"), ("b", "x"), ("d", "x"), ("b", "y"), ("c", "y"), ("c", "z"), ("a", "z"),
+        ("x", "t"), ("y", "t"), ("z", "t")]
+    with pytest.raises(ValidationError) as info:
+        FaceLattice(faces, covers)
+    assert str(info.value) == "diamond property fails between 'e' and 'x': 3 middle faces instead of 2"
 
 
 def test_square_flag_vector():
@@ -298,6 +314,34 @@ def test_flag_vector_of_cyclic_12_8_is_the_closed_form():
             want = f[s[-1]] * prod(comb(b + 1, a + 1) for a, b in zip(s, s[1:]))
         assert value == want, s
     assert len(fv.entries) == 2 ** 8
+
+
+def thin_lattice(n):
+    """Two faces in every dimension 0..n-1, each covering both faces one
+    dimension down: a chain through T picks one of two faces per member, so
+    f_T = 2^|T|."""
+    ranks = [["e"]] + [[f"{d}a", f"{d}b"] for d in range(n)] + [["t"]]
+    faces = {i: d - 1 for d, rank in enumerate(ranks) for i in rank}
+    return FaceLattice(faces, [(lo, hi) for below, above in zip(ranks, ranks[1:])
+                               for lo in below for hi in above])
+
+
+def test_flag_vector_of_thin_lattices_is_the_closed_form():
+    # the largest entry, 2^n, needs a wider field at n = 8 and n = 16
+    for n in range(17):
+        fv = flag_vector(thin_lattice(n))
+        assert fv.entries == tuple(1 << bin(mask).count("1") for mask in range(1 << n)), n
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.lists(st.sampled_from([pyramid, prism, dual]), max_size=12))
+def test_flag_vector_counts_every_chain_of_pyramids_prisms_and_duals(steps):
+    # duals reach polytopes that no word over {I, C} builds, the octahedron among them
+    lattice = point()
+    for step in steps:
+        if step is dual or lattice.dim < 5:
+            lattice = step(lattice)
+    assert flag_vector(lattice).entries == chain_counts(lattice)
 
 
 @pytest.mark.parametrize("name", sorted(FIXED_LATTICES))
