@@ -25,7 +25,7 @@ most m-c and the test is exact integer arithmetic.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, combinations, permutations
 
@@ -111,13 +111,13 @@ class StratifiedComplex:
 
     `vertices` holds the names in sorted order and `labels[v]` the label
     of vertex number v.  Every simplex is held as the sorted tuple of its
-    vertex numbers: `maximal` and `simplices` hold such tuples, and the
-    buckets of `simplices_of_dim`, filled by size while the faces are
-    generated, share the tuple objects of `simplices`.
+    vertex numbers, once: the sorted per-degree buckets of
+    `simplices_of_dim`, filled by size while the faces are generated, are
+    the one store of simplices.  `maximal` shares their tuple objects, and
+    `simplices` is a view derived from them.
     """
 
-    __slots__ = ("vertices", "strata", "labels", "maximal", "simplices", "dim", "perversity",
-                 "_by_dim")
+    __slots__ = ("vertices", "strata", "labels", "maximal", "dim", "perversity", "_by_dim")
 
     def __init__(self, strata, maximal_simplices, perversity=None):
         strata = dict(strata)
@@ -154,19 +154,16 @@ class StratifiedComplex:
         self.strata = strata
         self.labels = labels = tuple(map(strata.__getitem__, self.vertices))
         self.maximal = tuple(sorted(maximal))
-        # each size's set is dropped once its bucket is sorted, and `simplices` is built
-        # after, so the sets and the frozenset's growing table are never alive together
+        # each size's set is dropped as soon as its bucket is sorted
         self._by_dim = tuple(tuple(sorted(by_size.pop(1))) for _ in range(len(by_size) - 1))
-        self.simplices = frozenset(chain.from_iterable(self._by_dim))
         self.dim = m = len(self._by_dim) - 1
         # a face of X_t (t < m) above dimension t exists exactly when some
         # facet's sorted labels have l_q < m and q > l_q: its first q + 1
         # vertices span a q-face in X_{l_q}
         for vec in {tuple(map(labels.__getitem__, f)) for f in maximal}:
             if any(q > t for q, t in enumerate(sorted(vec)) if t < m):
-                # name the least offender, whatever order the set yields them in
                 f, top = min(
-                    (g, t) for g in self.simplices
+                    (g, t) for g in chain.from_iterable(self._by_dim)
                     if (t := max(labels[v] for v in g)) < m and len(g) - 1 > t
                 )
                 raise ValidationError(
@@ -181,23 +178,30 @@ class StratifiedComplex:
         self.perversity = perversity
 
     def simplices_of_dim(self, i: int) -> tuple[tuple[int, ...], ...]:
-        """The i-simplices as sorted vertex-number tuples, in sorted order.
-
-        The faces are bucketed by size while the constructor builds them,
-        and each bucket is sorted there once.
-        """
+        """The i-simplices as sorted vertex-number tuples, in sorted order (bucket i)."""
         return self._by_dim[i] if 0 <= i <= self.dim else ()
+
+    @property
+    def simplices(self) -> tuple[tuple[int, ...], ...]:
+        """Every simplex, by dimension and then in sorted order."""
+        return tuple(chain.from_iterable(self._by_dim))
 
     def has_simplex(self, f) -> bool:
         """Whether the vertex numbers in f, in any order and with repeats, span a simplex."""
-        return tuple(sorted(set(f))) in self.simplices
+        try:
+            f = tuple(sorted(set(f)))
+            bucket = self.simplices_of_dim(len(f) - 1)
+            j = bisect_left(bucket, f)
+        except TypeError:  # a member that is no number, such as a vertex name
+            return False
+        return bucket[j:j + 1] == (f,)
 
     def names(self, f) -> list[str]:
         """The names of the vertex numbers in f, in the order of f."""
         return [self.vertices[v] for v in f]
 
     def euler_characteristic(self) -> int:
-        return sum(-1 if len(f) % 2 == 0 else 1 for f in self.simplices)
+        return sum(len(bucket) * (-1) ** i for i, bucket in enumerate(self._by_dim))
 
     def with_strata(self, strata) -> "StratifiedComplex":
         """The same complex relabeled; strata may be a map or a constant."""
@@ -281,8 +285,8 @@ def barycentric_subdivision(k: StratifiedComplex) -> StratifiedComplex:
     stratum of its highest-labeled vertex because strata closures are
     full.  Maximal simplices are the flags inside old maximal ones.
     """
-    name = {f: "|".join(k.names(f)) for f in k.simplices}
-    strata = {name[f]: max(map(k.labels.__getitem__, f)) for f in k.simplices}
+    name = {f: "|".join(k.names(f)) for f in chain.from_iterable(k._by_dim)}
+    strata = {v: max(map(k.labels.__getitem__, f)) for f, v in name.items()}
     maximal = [[name[tuple(sorted(order[:j]))] for j in range(1, len(order) + 1)]
                for f in k.maximal for order in permutations(f)]
     return StratifiedComplex(strata, maximal, k.perversity)

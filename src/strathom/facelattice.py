@@ -48,7 +48,7 @@ class FaceLattice:
     and raises ValidationError naming the first violated one.
     """
 
-    __slots__ = ("ids", "dims", "dim", "_up", "_down")
+    __slots__ = ("ids", "dims", "dim", "_down")
 
     def __init__(self, faces, covers):
         if not faces:
@@ -70,7 +70,7 @@ class FaceLattice:
         index = {i: k for k, i in enumerate(ids)}
         up = [[] for _ in ids]
         down = [[] for _ in ids]
-        for lo, hi in set(map(tuple, covers)):
+        for lo, hi in dict.fromkeys(map(tuple, covers)):
             if lo not in index or hi not in index:
                 raise ValidationError(f"cover ({lo!r}, {hi!r}) names an unknown face")
             a, b = index[lo], index[hi]
@@ -96,7 +96,6 @@ class FaceLattice:
         self.ids = ids
         self.dims = dims
         self.dim = n
-        self._up = tuple(tuple(sorted(u)) for u in up)
         self._down = tuple(tuple(sorted(d)) for d in down)
 
     def face_counts(self) -> tuple[int, ...]:
@@ -108,11 +107,8 @@ class FaceLattice:
         return tuple(out)
 
     def cover_pairs(self) -> list[tuple[str, str]]:
-        pairs = []
-        for a, ups in enumerate(self._up):
-            for b in ups:
-                pairs.append((self.ids[a], self.ids[b]))
-        return sorted(pairs)
+        ids = self.ids
+        return sorted((ids[a], ids[b]) for b, downs in enumerate(self._down) for a in downs)
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -344,20 +344,38 @@ def test_well_formed_base_documents_pass(capsys, tmp_path):
         assert run(capsys, ["ih", "--in", write_json(tmp_path, "twice.json", twice)]) == (0, want, "")
 
 
-def test_filtration_error_names_the_same_simplex_under_any_hash_seed(tmp_path):
-    # two edges in X_0 break the filtration; the message names the least one
-    doc = {"dim": 1, "vertices": ["u", "v", "w", "x"], "strata": dict.fromkeys("uvwx", 0),
-           "maximal_simplices": [["w", "x"], ["u", "v"]]}
-    path = write_json(tmp_path, "two_edges.json", doc)
+# two edges in X_0 break the filtration; the message names the least one
+TWO_EDGES = {"dim": 1, "vertices": ["u", "v", "w", "x"], "strata": dict.fromkeys("uvwx", 0),
+             "maximal_simplices": [["w", "x"], ["u", "v"]]}
+# a triangle whose edges x and z each gain a third vertex: (e, x) and (e, z) both
+# have 3 middles and are first met through the middle a, whose covers x and z
+# are read in document order
+TWO_FAT_EDGES = {
+    "dim": 2,
+    "faces": [{"id": i, "dim": d} for d, ids in enumerate(["e", "abcdg", "xyz", "t"], -1)
+              for i in ids],
+    "covers": [["e", v] for v in "abcdg"] + [
+        ["a", "x"], ["b", "x"], ["d", "x"], ["b", "y"], ["c", "y"], ["a", "z"], ["c", "z"],
+        ["g", "z"], ["x", "t"], ["y", "t"], ["z", "t"]],
+}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("ih", TWO_EDGES, "simplex ['u', 'v'] lies in X_0 but has dimension 1"),
+    ("flag", TWO_FAT_EDGES, "diamond property fails between 'e' and 'x': 3 middle faces instead of 2"),
+], ids=["ih", "flag"])
+def test_filtration_error_names_the_same_simplex_under_any_hash_seed(tmp_path, command, doc,
+                                                                     message):
+    path = write_json(tmp_path, "doc.json", doc)
     src = str(Path(strathom.__file__).resolve().parents[1])
     errors = set()
     for seed in range(1, 6):
         env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
-        proc = subprocess.run([sys.executable, "-m", "strathom.cli", "ih", "--in", path],
+        proc = subprocess.run([sys.executable, "-m", "strathom.cli", command, "--in", path],
                               env=env, capture_output=True, text=True)
         assert proc.returncode == 1 and proc.stdout == ""
         errors.add(proc.stderr)
-    assert errors == {"error: simplex ['u', 'v'] lies in X_0 but has dimension 1\n"}
+    assert errors == {f"error: {message}\n"}
 
 
 def test_bad_dim_seq_exits_one(capsys, tmp_path):

@@ -93,6 +93,11 @@ def test_has_simplex_reads_any_order_and_repeats():
     assert not k.has_simplex(_numbers(k, "caa"))
     # members that are no vertex numbers, as 1 is no vertex name
     assert not k.has_simplex([0, 3]) and not k.has_simplex([-1])
+    # a vertex name, a number past the end and a negative number give False without raising
+    assert not any(map(k.has_simplex, (["a"], ["a", 1], [3], [-1, 0])))
+    with pytest.raises(ValidationError) as info:
+        allowable_simplex(k, ["a"])
+    assert str(info.value) == "['a'] is not a simplex of the complex"
 
 
 @pytest.mark.parametrize("facets", [
@@ -135,6 +140,10 @@ def test_construction_matches_brute_force(family):
     assert k.dim == max(map(len, sets), default=0) - 1
     for i in range(-1, k.dim + 2):
         assert named(k.simplices_of_dim(i)) == tuple(sorted(f for f in closure if len(f) == i + 1))
+    numbers = range(len(k.vertices))
+    for f in (c for r in range(1, len(numbers) + 1) for c in combinations(numbers, r)):
+        assert k.has_simplex(f) == (tuple(k.vertices[v] for v in f) in closure)
+    assert k.euler_characteristic() == sum((-1) ** (len(f) - 1) for f in closure)
     # one tuple object per simplex, shared by `maximal` and the buckets
     stored = {f: f for f in k.simplices}
     assert all(stored[f] is f for f in k.maximal)
@@ -178,7 +187,7 @@ def test_filtration_rejects_deep_high_dimensional_simplices():
 def test_empty_complex():
     k = StratifiedComplex({}, [])
     assert k.dim == -1
-    assert k.simplices == frozenset()
+    assert k.simplices == ()
     assert k.euler_characteristic() == 0
 
 

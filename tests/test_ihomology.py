@@ -1,6 +1,8 @@
 """Intersection homology ranks against independent dense-rank oracles."""
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import naive_ih_betti, naive_ih_report, naive_ordinary_betti
 from random_complexes import every_perversity, small_complexes
@@ -129,6 +131,28 @@ def test_ih_ranks_invariant_under_barycentric_subdivision(k):
     # sd(k) stratifies the same space: a new vertex takes the largest label
     # of its simplex, and intersection homology is a topological invariant
     assert ih_ranks(barycentric_subdivision(k)).ranks == ih_ranks(k).ranks
+
+
+@settings(deadline=None, max_examples=100)
+@given(small_complexes().filter(lambda link: link.dim >= 1))
+# few random links have homology above degree 0, so the circle, the 2-sphere and
+# a circle beside a triangle make both sides of the cut degree count
+@example(StratifiedComplex(dict.fromkeys("abc", 1), [["a", "b"], ["b", "c"], ["a", "c"]]))
+@example(StratifiedComplex(dict.fromkeys("abcd", 2), map(list, combinations("abcd", 3))))
+@example(StratifiedComplex(dict.fromkeys("abcde", 2),
+                           [["a", "b"], ["b", "c"], ["a", "c"], ["c", "d", "e"]]))
+def test_cone_formula_on_random_links(link):
+    # IH_i(cL) = IH_i(L) for i < n - 1 - p(n) and 0 above, for a link L of
+    # dimension n - 1 (Goresky-MacPherson 1983); the apex is the point stratum
+    n = link.dim + 1
+    strata = {v: label + 1 for v, label in link.strata.items()}
+    strata["apex"] = 0
+    facets = [link.names(f) + ["apex"] for f in link.maximal]
+    for p in every_perversity(n):
+        link_ranks = ih_ranks(link.with_perversity(Perversity(p.values[:n - 2]))).ranks
+        cut = n - 1 - p(n)
+        want = tuple(link_ranks[i] if i < cut else 0 for i in range(n + 1))
+        assert ih_ranks(StratifiedComplex(strata, facets, p)).ranks == want, p
 
 
 @pytest.mark.parametrize("build", [
