@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .complexes import StratifiedComplex, Perversity, allowable_simplex
-from .facelattice import FaceLattice, FlagVector, flag_vector, flag_rank
+from .complexes import StratifiedComplex, Perversity
+from .facelattice import FaceLattice, FlagVector, flag_vector
 from .hcalc import eval_word, ic_check, fit_and_predict
 from .ihomology import ih_ranks
 from .lghomology import lg_ranks
@@ -11,11 +11,9 @@ from .lghomology import lg_ranks
 __all__ = [
     "StratifiedComplex",
     "Perversity",
-    "allowable_simplex",
     "FaceLattice",
     "FlagVector",
     "flag_vector",
-    "flag_rank",
     "eval_word",
     "ic_check",
     "fit_and_predict",

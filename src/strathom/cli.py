@@ -42,7 +42,10 @@ MAX_SHAPES_TOTAL_DIM = 14
 
 def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} is nested too deeply to read as JSON") from None
 
 
 def _check_limit(option: str, value: int, limit: int) -> None:

@@ -200,9 +200,6 @@ class StratifiedComplex:
         """The names of the vertex numbers in f, in the order of f."""
         return [self.vertices[v] for v in f]
 
-    def euler_characteristic(self) -> int:
-        return sum(len(bucket) * (-1) ** i for i, bucket in enumerate(self._by_dim))
-
     def with_strata(self, strata) -> "StratifiedComplex":
         """The same complex relabeled; strata may be a map or a constant."""
         if isinstance(strata, int):

@@ -3,9 +3,9 @@
 Rank decisions in this package are never made in floating point.  Every
 rank, of a sparse boundary matrix or of a dense integer matrix, and the
 flag-vector prediction with its consistency and span tests, goes through
-one integer column reduction.  solve_right (integer Gauss-Jordan
-elimination, with Fractions only in the solutions) has no caller in the
-package; perfbench/tracing.py still looks it up on hcalc.
+one integer column reduction.  dense_rank and solve_right (integer
+Gauss-Jordan elimination, Fractions only in the solutions) have no package
+caller; they stay for the tests and for the lookups of perfbench/tracing.py.
 
 One engine serves short and long columns: an elimination step
 a*col - b*piv keeps a > 0, so no step flips a column's sign, and the

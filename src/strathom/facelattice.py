@@ -22,10 +22,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, product
 
 from .errors import DomainError, ValidationError, is_int
-from .exactla import ColumnReduction, dense_rank
+from .exactla import ColumnReduction
+# not called here; perfbench/tracing.py still looks this name up on this module
+from .exactla import dense_rank  # noqa: F401
 
 WORD_LETTERS = "IC"
 
@@ -97,14 +99,6 @@ class FaceLattice:
         self.dims = dims
         self.dim = n
         self._down = tuple(tuple(sorted(d)) for d in down)
-
-    def face_counts(self) -> tuple[int, ...]:
-        """Number of proper faces in each dimension 0..n-1 (the f-vector)."""
-        out = [0] * self.dim
-        for d in self.dims:
-            if 0 <= d < self.dim:
-                out[d] += 1
-        return tuple(out)
 
     def cover_pairs(self) -> list[tuple[str, str]]:
         ids = self.ids
@@ -189,44 +183,6 @@ def dual(lattice: FaceLattice) -> FaceLattice:
     faces = {("d", i): n - 1 - d for i, d in zip(lattice.ids, lattice.dims)}
     covers = {(("d", hi), ("d", lo)) for lo, hi in lattice.cover_pairs()}
     return _relabel(faces, covers)
-
-
-def from_simplicial_facets(facets) -> FaceLattice:
-    """Face lattice of a simplicial polytope boundary given by its facets.
-
-    Every facet is a set of vertex names; proper faces are the nonempty
-    vertex subsets of facets.  Used for query polytopes (octahedron,
-    polygons) that are not products of pyramid and prism steps.
-    """
-    facets = [tuple(sorted(f)) for f in facets]
-    if not facets:
-        raise ValidationError("need at least one facet")
-    sizes = {len(f) for f in facets}
-    if len(sizes) != 1:
-        raise ValidationError("facets of a simplicial polytope must share one size")
-    n = sizes.pop()
-    proper: set[tuple[str, ...]] = set()
-    for f in facets:
-        for size in range(1, len(f) + 1):
-            proper.update(combinations(f, size))
-    def fid(face):
-        return ",".join(face)
-    faces = {"(empty)": -1, "(top)": n}
-    for face in proper:
-        if fid(face) in faces:
-            raise ValidationError(f"vertex name collides with reserved id {fid(face)!r}")
-        faces[fid(face)] = len(face) - 1
-    covers = []
-    for face in proper:
-        if len(face) == 1:
-            covers.append(("(empty)", fid(face)))
-        if len(face) == n:
-            covers.append((fid(face), "(top)"))
-        for drop in range(len(face)):
-            sub = face[:drop] + face[drop + 1:]
-            if sub:
-                covers.append((fid(sub), fid(face)))
-    return FaceLattice(faces, covers)
 
 
 # ---------------------------------------------------------------- flags
@@ -331,20 +287,6 @@ def flag_vector(lattice: FaceLattice) -> FlagVector:
                                for i in range(0, size << n, size)))
 
 
-def flag_rank(lattices) -> int:
-    """Rank over the rationals of the flag vectors of the given lattices,
-    read one at a time."""
-    rows = []
-    for lattice in lattices:
-        if rows and lattice.dim != n:
-            raise DomainError(f"flag_rank needs equal dimensions, got {sorted({n, lattice.dim})}")
-        n = lattice.dim
-        rows.append(flag_vector(lattice).entries)
-    if not rows:
-        raise DomainError("flag_rank needs at least one lattice")
-    return dense_rank(rows)
-
-
 def ic_words(n: int) -> list[str]:
     """All words of length n over {I, C}, sorted."""
     if n < 1:
@@ -435,13 +377,6 @@ def fibonacci(n: int) -> int:
 
 
 # ----------------------------------------------------------------- json
-
-
-def lattice_to_json(lattice: FaceLattice) -> dict:
-    faces = [{"id": i, "dim": d} for i, d in zip(lattice.ids, lattice.dims)]
-    faces.sort(key=lambda f: (f["dim"], f["id"]))
-    covers = [[lo, hi] for lo, hi in lattice.cover_pairs()]
-    return {"dim": lattice.dim, "faces": faces, "covers": covers}
 
 
 def lattice_from_json(doc) -> FaceLattice:

@@ -66,9 +66,6 @@ class IcReport:
     def holds(self) -> bool:
         return self.lhs == self.rhs
 
-    def __bool__(self) -> bool:
-        return self.holds
-
 
 def ic_check(h) -> IcReport:
     """Check I(IC h - CC h) == IC(I h) - CC(I h) entrywise."""

@@ -143,6 +143,33 @@ def simplicial_h_vector(facets):
     )
 
 
+def simplicial_lattice(facets):
+    """Face-lattice document of the boundary of a simplicial polytope.
+
+    facets lists the vertex names of each facet, all facets of one size n;
+    the proper faces are the nonempty subsets of facets.  A proper face's
+    id is its sorted vertex names joined by commas, "(empty)" and "(top)"
+    name the empty face and the polytope, of dimensions -1 and n.  Faces
+    are listed by dimension and then id, covers as sorted [lower, upper]
+    pairs.
+    """
+    facets = {tuple(sorted(f)) for f in facets}
+    n = len(next(iter(facets)))
+    assert all(len(f) == n for f in facets), "facets must share one size"
+    proper = {face for f in facets for size in range(1, n + 1)
+              for face in combinations(f, size)}
+    fid = ",".join
+    dims = {fid(face): len(face) - 1 for face in proper}
+    dims.update({"(empty)": -1, "(top)": n})
+    covers = {("(empty)", fid(face)) for face in proper if len(face) == 1}
+    covers |= {(fid(face), "(top)") for face in facets}
+    covers |= {(fid(face[:k] + face[k + 1:]), fid(face))
+               for face in proper if len(face) > 1 for k in range(len(face))}
+    faces = sorted(dims.items(), key=lambda item: (item[1], item[0]))
+    return {"dim": n, "faces": [{"id": i, "dim": d} for i, d in faces],
+            "covers": [list(pair) for pair in sorted(covers)]}
+
+
 def toric_h(dims, covers):
     """Stanley's toric h-vector (h_0, ..., h_d) of a d-polytope given by
     its face lattice alone.

@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 
 import strathom
+from oracles import simplicial_lattice
 from strathom import cli, facelattice
 from strathom.cli import main
 from strathom.complexes import complex_to_json
 from strathom.corpus import by_name
-from strathom.facelattice import flag_vector, from_simplicial_facets, lattice_to_json
+from strathom.facelattice import flag_vector, lattice_from_json
 
 OCTA_FACETS = [
     ("a", "b", "c"), ("a", "b", "f"), ("a", "c", "e"), ("a", "e", "f"),
@@ -64,8 +65,7 @@ def test_fibrank(capsys):
 
 
 def test_flag(capsys, tmp_path):
-    lattice = from_simplicial_facets(OCTA_FACETS)
-    path = write_json(tmp_path, "octa.json", lattice_to_json(lattice))
+    path = write_json(tmp_path, "octa.json", simplicial_lattice(OCTA_FACETS))
     code, out, err = run(capsys, ["flag", "--in", path])
     assert code == 0 and err == ""
     assert out == ('{"dim": 3, "entries": {"": 1, "0": 6, "0,1": 24, '
@@ -73,11 +73,12 @@ def test_flag(capsys, tmp_path):
 
 
 def test_fit_accepts_lattice_or_flag_vector(capsys, tmp_path):
-    lattice = from_simplicial_facets(OCTA_FACETS)
-    lat_path = write_json(tmp_path, "octa_lattice.json", lattice_to_json(lattice))
+    doc = simplicial_lattice(OCTA_FACETS)
+    lat_path = write_json(tmp_path, "octa_lattice.json", doc)
     code, out, _ = run(capsys, ["fit", "--dim", "3", "--predict", lat_path])
     assert code == 0 and out == '{"h": [1, 3, 3, 1]}\n'
-    flag_path = write_json(tmp_path, "octa_flag.json", flag_vector(lattice).to_json())
+    flag_path = write_json(tmp_path, "octa_flag.json",
+                           flag_vector(lattice_from_json(doc)).to_json())
     code, out, _ = run(capsys, ["fit", "--dim", "3", "--predict", flag_path])
     assert code == 0 and out == '{"h": [1, 3, 3, 1]}\n'
 
@@ -97,7 +98,7 @@ def test_fit_refuses_a_query_of_another_dimension_before_training(
 
     monkeypatch.setattr(cli, "ic_training_data", refuse)
     path = write_json(tmp_path, "octa_flag.json",
-                      flag_vector(from_simplicial_facets(OCTA_FACETS)).to_json())
+                      flag_vector(lattice_from_json(simplicial_lattice(OCTA_FACETS))).to_json())
     code, out, err = run(capsys, ["fit", "--dim", "10", "--predict", path])
     assert code == 1 and out == ""
     assert err == "error: query has dimension 3, training has dimension 10\n"
@@ -298,8 +299,8 @@ def test_mutated_lattice_and_flag_vector_documents_exit_zero_or_one(capsys, tmp_
     c64 = [(f"v{a}", f"v{a + 1}", f"v{b}", f"v{(b + 1) % 6}")
            for a, b in combinations(range(6), 2) if 2 <= b - a <= 4]
     # fit runs at the dimension of the document a mutant is cut from
-    docs = [("3", lattice_to_json(from_simplicial_facets(OCTA_FACETS))),
-            ("4", flag_vector(from_simplicial_facets(c64)).to_json())]
+    docs = [("3", simplicial_lattice(OCTA_FACETS)),
+            ("4", flag_vector(lattice_from_json(simplicial_lattice(c64))).to_json())]
     path = str(tmp_path / "doc.json")
     codes = {"flag": [], "fit": []}
     for _ in range(200):
@@ -322,6 +323,31 @@ def test_flag_vector_of_huge_dim_is_refused_without_listing_subsets(capsys, tmp_
     code, out, err = run(capsys, ["fit", "--dim", "3", "--predict", path])
     assert code == 1 and out == ""
     assert "every subset" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["ih", "--in", "DOC"],
+    ["lg", "--in", "DOC", "--dim-seq", "1,0", "--w", "0"],
+    ["flag", "--in", "DOC"],
+    ["fit", "--dim", "3", "--predict", "DOC"],
+], ids=["ih", "lg", "flag", "fit"])
+def test_deeply_nested_json_exits_one_with_one_line(capsys, tmp_path, argv):
+    # deep enough that json.load runs out of recursion depth
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    code, out, err = run(capsys, [str(path) if a == "DOC" else a for a in argv])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_tracer_finds_every_name_it_wraps():
+    # perfbench/tracing.py wraps package functions by name, some of which only it looks up
+    root = Path(strathom.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    code = (f"import sys; sys.path.insert(0, {str(root / 'perfbench')!r}); "
+            "import tracing; tracing.install(tracing.Tracer())")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_string_dim_is_reported_as_such(capsys, tmp_path):

@@ -6,6 +6,7 @@ from math import comb, factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import dense_rank, simplicial_lattice
 from strathom import facelattice
 from strathom.errors import DomainError, ValidationError
 from strathom.facelattice import (
@@ -13,15 +14,12 @@ from strathom.facelattice import (
     FlagVector,
     dual,
     fibonacci,
-    flag_rank,
     flag_vector,
-    from_simplicial_facets,
     from_word,
     ic_basis,
     ic_flag_rank,
     ic_words,
     lattice_from_json,
-    lattice_to_json,
     parse_word,
     point,
     prism,
@@ -43,6 +41,22 @@ def cyclic_facets(n, d):
         if all(sum(1 for x in facet if i < x < j) % 2 == 0 for i, j in combinations(gaps, 2)):
             out.append(tuple(f"v{x}" for x in facet))
     return out
+
+
+def simplicial(facets):
+    """The face lattice of a simplicial polytope, read from its document."""
+    return lattice_from_json(simplicial_lattice(facets))
+
+
+def face_counts(lattice):
+    """The f-vector: the flag vector's entries at one-element dimension sets."""
+    fv = flag_vector(lattice)
+    return tuple(fv.entries[1 << d] for d in range(fv.dim))
+
+
+def word_rank(words):
+    """Rank of the flag vectors of the words' lattices, by the oracle."""
+    return dense_rank([flag_vector(from_word(word)).entries for word in words])
 
 
 def chain_counts(lattice):
@@ -96,7 +110,7 @@ def test_parse_word_accepts_ic_only():
 def test_point_lattice():
     p = point()
     assert p.dim == 0 and len(p) == 2
-    assert p.face_counts() == ()
+    assert face_counts(p) == ()
 
 
 @pytest.mark.parametrize("word, counts", [
@@ -110,7 +124,7 @@ def test_point_lattice():
     ("CCC", (4, 6, 4)),
 ])
 def test_from_word_face_counts(word, counts):
-    assert from_word(word).face_counts() == counts
+    assert face_counts(from_word(word)) == counts
 
 
 def test_validation_catches_broken_posets():
@@ -155,7 +169,7 @@ def test_square_flag_vector():
 
 
 def test_octahedron_flag_vector():
-    fv = flag_vector(from_simplicial_facets(OCTA_FACETS))
+    fv = flag_vector(simplicial(OCTA_FACETS))
     want = {(): 1, (0,): 6, (1,): 12, (2,): 8,
             (0, 1): 24, (0, 2): 24, (1, 2): 24, (0, 1, 2): 48}
     assert by_subset(fv) == want
@@ -171,21 +185,14 @@ def test_cube_flag_vector():
 def test_dual_is_an_involution_and_swaps_cube_octahedron():
     cube = from_word("III")
     assert flag_vector(dual(dual(cube))).entries == flag_vector(cube).entries
-    octa = from_simplicial_facets(OCTA_FACETS)
+    octa = simplicial(OCTA_FACETS)
     assert flag_vector(dual(cube)).entries == flag_vector(octa).entries
-    assert from_simplicial_facets(OCTA_FACETS).face_counts() == (6, 12, 8)
+    assert face_counts(octa) == (6, 12, 8)
 
 
 def test_flag_rank_small_dimensions():
-    got = [flag_rank(map(from_word, ic_words(n))) for n in range(1, 5)]
+    got = [word_rank(ic_words(n)) for n in range(1, 5)]
     assert got == [1, 2, 3, 5]
-
-
-def test_flag_rank_rejects_mixed_or_empty_input():
-    with pytest.raises(DomainError, match="at least one"):
-        flag_rank([])
-    with pytest.raises(DomainError, match="equal dimensions"):
-        flag_rank([from_word("I"), from_word("II")])
 
 
 def test_ic_words_sorted_and_sized():
@@ -198,11 +205,11 @@ def test_ic_words_sorted_and_sized():
 
 
 def test_lattice_json_roundtrip():
-    lat = from_simplicial_facets(OCTA_FACETS)
-    doc = lattice_to_json(lat)
-    back = lattice_from_json(doc)
-    assert back.ids == lat.ids and back.dims == lat.dims
-    assert back.cover_pairs() == lat.cover_pairs()
+    doc = simplicial_lattice(OCTA_FACETS)
+    lat = lattice_from_json(doc)
+    faces = sorted(zip(lat.dims, lat.ids))
+    assert [{"id": i, "dim": d} for d, i in faces] == doc["faces"]
+    assert [list(pair) for pair in lat.cover_pairs()] == doc["covers"]
     with pytest.raises(ValidationError, match="missing"):
         lattice_from_json({"dim": 3, "faces": doc["faces"]})
     with pytest.raises(ValidationError, match="declared dim"):
@@ -268,9 +275,9 @@ def test_flag_entries_grow_under_refinement(word):
 
 
 FIXED_LATTICES = {
-    "octahedron": lambda: from_simplicial_facets(OCTA_FACETS),
-    "pentagon": lambda: from_simplicial_facets(PENTAGON_FACETS),
-    "C(7,4)": lambda: from_simplicial_facets(cyclic_facets(7, 4)),
+    "octahedron": lambda: simplicial(OCTA_FACETS),
+    "pentagon": lambda: simplicial(PENTAGON_FACETS),
+    "C(7,4)": lambda: simplicial(cyclic_facets(7, 4)),
 }
 
 
@@ -304,7 +311,7 @@ def test_flag_vector_of_cube7_is_the_closed_form():
 
 def test_flag_vector_of_cyclic_12_8_is_the_closed_form():
     facets = cyclic_facets(12, 8)
-    fv = flag_vector(from_simplicial_facets(facets))
+    fv = flag_vector(simplicial(facets))
     f = [len({face for facet in facets for face in combinations(facet, k + 1)})
          for k in range(8)]
     for mask, value in enumerate(fv.entries):
@@ -376,8 +383,8 @@ def test_word_flag_vectors_equal_the_lattice_flag_vectors():
     for n in range(1, 7):
         basis = ic_basis(n)
         assert all(len(word) == n for word, _ in basis)
-        # independent rows: with ic_flag_rank == flag_rank below, a basis
-        assert flag_rank(from_word(word) for word, _ in basis) == len(basis)
+        # independent rows: with ic_flag_rank == word_rank below, a basis
+        assert word_rank(word for word, _ in basis) == len(basis)
         for word, row in basis:
             lattice = from_word(word)
             fv = FlagVector(n, tuple(row))
@@ -408,7 +415,7 @@ def test_word_flag_vectors_of_cube_and_simplex_are_the_closed_forms():
 
 def test_word_flag_vectors_span_fibonacci_many_dimensions():
     for n in range(1, 7):
-        assert ic_flag_rank(n) == flag_rank(map(from_word, ic_words(n))), n
+        assert ic_flag_rank(n) == word_rank(ic_words(n)), n
     assert [ic_flag_rank(n) for n in range(1, 11)] == [fibonacci(n + 1) for n in range(1, 11)]
     assert [fibonacci(n + 1) for n in range(1, 11)] == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
     with pytest.raises(DomainError, match="n >= 1"):

@@ -6,17 +6,17 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import nullspace, row_reduce, simplicial_h_vector, toric_h
+from oracles import nullspace, row_reduce, simplicial_h_vector, simplicial_lattice, toric_h
 from strathom.errors import DomainError
 from strathom.facelattice import (
     FlagVector,
     dual,
     fibonacci,
     flag_vector,
-    from_simplicial_facets,
     from_word,
     ic_basis,
     ic_words,
+    lattice_from_json,
 )
 from strathom.hcalc import (
     eval_word,
@@ -33,6 +33,11 @@ OCTA_FACETS = [
 ]
 PENTAGON_FACETS = [("p1", "p2"), ("p2", "p3"), ("p3", "p4"), ("p4", "p5"), ("p5", "p1")]
 SQUARE_FACETS = [("q1", "q2"), ("q2", "q3"), ("q3", "q4"), ("q4", "q1")]
+
+
+def simplicial(facets):
+    """The face lattice of a simplicial polytope, read from its document."""
+    return lattice_from_json(simplicial_lattice(facets))
 
 
 def cyclic_facets(m, d):
@@ -101,7 +106,6 @@ def test_ic_check_holds_on_all_short_words():
     for word in words:
         report = ic_check(eval_word(word))
         assert report.holds, (word, report.lhs, report.rhs)
-        assert bool(report)
 
 
 def test_ic_check_report_fields():
@@ -112,7 +116,7 @@ def test_ic_check_report_fields():
 
 def test_fit_predicts_octahedron_h_vector():
     training = ic_training_data(3)
-    octa = flag_vector(from_simplicial_facets(OCTA_FACETS))
+    octa = flag_vector(simplicial(OCTA_FACETS))
     prediction = fit_and_predict(training, octa)
     assert prediction == (1, 3, 3, 1)
     assert prediction == simplicial_h_vector(OCTA_FACETS)
@@ -123,8 +127,8 @@ def test_fit_predicts_cube_and_polygons():
     cube = flag_vector(from_word("III"))
     assert fit_and_predict(training3, cube) == (1, 5, 5, 1)
     training2 = ic_training_data(2)
-    pentagon = flag_vector(from_simplicial_facets(PENTAGON_FACETS))
-    square = flag_vector(from_simplicial_facets(SQUARE_FACETS))
+    pentagon = flag_vector(simplicial(PENTAGON_FACETS))
+    square = flag_vector(simplicial(SQUARE_FACETS))
     assert fit_and_predict(training2, pentagon) == (1, 3, 1)
     assert fit_and_predict(training2, square) == (1, 2, 1)
     assert fit_and_predict(training2, pentagon) == simplicial_h_vector(PENTAGON_FACETS)
@@ -160,9 +164,9 @@ def span_weights(flags, query):
 
 
 @pytest.mark.parametrize("n, query", [
-    (3, lambda: flag_vector(from_simplicial_facets(OCTA_FACETS))),
+    (3, lambda: flag_vector(simplicial(OCTA_FACETS))),
     (3, lambda: flag_vector(from_word("III"))),
-    (4, lambda: flag_vector(from_simplicial_facets(CYCLIC_7_4_FACETS))),
+    (4, lambda: flag_vector(simplicial(CYCLIC_7_4_FACETS))),
     # the query column reduces to its tag row alone: the prediction is 0
     (2, lambda: FlagVector(2, (0,) * 4)),
 ])
@@ -186,7 +190,7 @@ def test_prediction_is_the_span_combination_of_training_h_vectors(n, query):
 def test_prediction_undetermined_off_the_span():
     # Flag vectors of polytopes satisfy linear relations; bumping one
     # coordinate leaves the training span and the prediction must refuse.
-    octa = flag_vector(from_simplicial_facets(OCTA_FACETS))
+    octa = flag_vector(simplicial(OCTA_FACETS))
     bumped = list(octa.entries)
     bumped[0b001] += 1
     with pytest.raises(DomainError, match="not determined"):
@@ -218,7 +222,7 @@ def test_fit_refuses_training_with_one_bumped_h_vector(index):
     training = list(all_pairs(3))
     flag, h = training[index]
     training[index] = (flag, (h[0] + 1,) + h[1:])
-    octa = flag_vector(from_simplicial_facets(OCTA_FACETS))
+    octa = flag_vector(simplicial(OCTA_FACETS))
     with pytest.raises(DomainError, match="no linear function fits"):
         fit_and_predict(training, octa)
 
@@ -262,7 +266,7 @@ def test_basis_training_predicts_what_all_pairs_training_predicts():
 
 
 def test_fit_and_predict_takes_rational_pairs():
-    octa = flag_vector(from_simplicial_facets(OCTA_FACETS))
+    octa = flag_vector(simplicial(OCTA_FACETS))
     thirds = [(flag, tuple(Fraction(v, 3) for v in h)) for flag, h in all_pairs(3)]
     assert fit_and_predict(thirds, octa) == (Fraction(1, 3), 1, 1, Fraction(1, 3))
     halves = [(flag, tuple(v / 2 for v in h)) for flag, h in ic_training_data(3)]
@@ -286,7 +290,7 @@ def test_fit_computes_the_toric_h_vector(polytope, take_dual):
     if isinstance(polytope, str):
         lattice = from_word(polytope)
     else:
-        lattice = from_simplicial_facets(cyclic_facets(*polytope))
+        lattice = simplicial(cyclic_facets(*polytope))
     if take_dual:
         lattice = dual(lattice)
     n = lattice.dim

@@ -367,7 +367,13 @@ def test_lg_ranks_validation_and_empty_complex():
 
 
 def test_lg_ranks_independent_of_stratification():
-    # Ranks agree between the stratified labeling and the trivial one.
+    """On the four members listed, the ranks at w = 0 agree between the
+    stratified labeling and the trivial one.
+
+    This is a fact about these members, not a general property: on
+    susp_torus7 at i = 1, w = 0 the stratified rank is 4 and the trivial
+    rank is 0.  Which of the two is right is still open.
+    """
     for name in ("cone_hexagon", "cone_square", "susp_hexagon", "circle6"):
         k = by_name(name)
         flat = k.with_strata(max(k.dim, 0))
