@@ -287,13 +287,6 @@ def flag_vector(lattice: FaceLattice) -> FlagVector:
                                for i in range(0, size << n, size)))
 
 
-def ic_words(n: int) -> list[str]:
-    """All words of length n over {I, C}, sorted."""
-    if n < 1:
-        raise DomainError(f"IC words need length n >= 1, got {n}")
-    return ["".join(letters) for letters in product(sorted(WORD_LETTERS), repeat=n)]
-
-
 # ------------------------------------------------- IC words, no lattices
 
 
@@ -335,10 +328,10 @@ def _steps(table, f):
     return pyr, prism
 
 
-def ic_extensions(n: int) -> list:
+def ic_extensions(n: int):
     """(word, flag row) for the pyramid and the prism of every row of
     ic_basis(n - 1), with no face lattice: 2 F(n) rows spanning the flag
-    vectors of the length-n words over {I, C}.
+    vectors of the length-n words over {I, C}, made one pair at a time.
 
     Pyramid and prism act linearly on flag vectors, and words are evaluated
     rightmost letter first, so the pyramids and prisms of a basis at length
@@ -347,9 +340,9 @@ def ic_extensions(n: int) -> list:
     if n < 1:
         raise DomainError(f"IC words need length n >= 1, got {n}")
     table = _split_table(n)
-    return [(letter + word, row)
+    return ((letter + word, row)
             for word, f in (ic_basis(n - 1) if n > 1 else [("", [1])])
-            for letter, row in zip("CI", _steps(table, f))]
+            for letter, row in zip("CI", _steps(table, f)))
 
 
 def ic_basis(n: int) -> list:

@@ -83,19 +83,6 @@ def ic_check(h) -> IcReport:
 # ------------------------------------------------------------------ fit
 
 
-def _training_shape(training):
-    """Validate the training pairs; return (dim, h-vector length)."""
-    if not training:
-        raise DomainError("fit needs at least one training pair")
-    dims = {flag.dim for flag, _ in training}
-    if len(dims) != 1:
-        raise DomainError(f"training flag vectors must share one dimension, got {sorted(dims)}")
-    lengths = {len(tuple(h)) for _, h in training}
-    if len(lengths) != 1:
-        raise DomainError("training h-vectors must share one length")
-    return dims.pop(), lengths.pop()
-
-
 def fit_and_predict(training, query: FlagVector):
     """The h-vector that every linear function fitting the training pairs
     assigns to query, defined when query = sum c_j flag_j lies in the
@@ -114,14 +101,26 @@ def fit_and_predict(training, query: FlagVector):
     so the column never vanishes.  A pivot above w puts query off the
     span.  Otherwise the stored column is lambda * [1 | -prediction | 0]
     with lambda != 0; a pivot on row 0 means the prediction is 0.
+
+    The pairs are read once, in order, so they may come from a generator;
+    each is checked against the first pair's dimension and h-length.
     """
-    training = list(training)
-    n, w = _training_shape(training)
+    n = w = None
     span = ColumnReduction()
     for flag, h in training:
+        h = tuple(h)
+        if n is None:
+            n, w = flag.dim, len(h)
+        elif flag.dim != n:
+            raise DomainError("training flag vectors must share one dimension, "
+                              f"got {sorted({n, flag.dim})}")
+        elif len(h) != w:
+            raise DomainError("training h-vectors must share one length")
         pivot = span.add_column(dict(enumerate(_integral([0, *h, *flag.entries]))))
         if pivot is not None and pivot <= w:
             raise DomainError("no linear function fits")
+    if n is None:
+        raise DomainError("fit needs at least one training pair")
     if query.dim != n:
         raise DomainError(f"query has dimension {query.dim}, training has dimension {n}")
     pivot = span.add_column(dict(enumerate(_integral([1, *[0] * w, *query.entries]))))
@@ -132,7 +131,8 @@ def fit_and_predict(training, query: FlagVector):
 
 
 def ic_training_data(n: int):
-    """Flag vector and h-vector pairs for the words of ic_extensions(n).
+    """Flag vector and h-vector pairs for the words of ic_extensions(n),
+    yielded one at a time.
 
     These 2 F(n) words are the pyramids and prisms of a basis at length
     n - 1, so their flag vectors span those of all 2^n words of length n.
@@ -149,4 +149,5 @@ def ic_training_data(n: int):
     the word with its own polytope instead would fit the dual convention
     (octahedron -> (1, 5, 5, 1), the cube's generalized h-vector).
     """
-    return [(FlagVector(n, tuple(row)).dual(), eval_word(word)) for word, row in ic_extensions(n)]
+    for word, row in ic_extensions(n):
+        yield FlagVector(n, tuple(row)).dual(), eval_word(word)

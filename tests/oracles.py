@@ -111,6 +111,30 @@ def column_pivots(columns):
     return out
 
 
+# ---------------------------------------------------- polytopes and words
+
+OCTA_FACETS = [
+    ("a", "b", "c"), ("a", "b", "f"), ("a", "c", "e"), ("a", "e", "f"),
+    ("b", "c", "d"), ("b", "d", "f"), ("c", "d", "e"), ("d", "e", "f"),
+]
+PENTAGON_FACETS = [("p1", "p2"), ("p2", "p3"), ("p3", "p4"), ("p4", "p5"), ("p5", "p1")]
+
+
+def cyclic_facets(n, d):
+    """Facets of the cyclic polytope C(n, d) by Gale's evenness condition."""
+    out = []
+    for facet in combinations(range(n), d):
+        gaps = [v for v in range(n) if v not in facet]
+        if all(sum(1 for x in facet if i < x < j) % 2 == 0 for i, j in combinations(gaps, 2)):
+            out.append(tuple(f"v{x}" for x in facet))
+    return out
+
+
+def ic_words(n):
+    """All 2^n words of length n over {I, C}, sorted."""
+    return ["".join(letters) for letters in product("CI", repeat=n)]
+
+
 # ------------------------------------------------------------- h-vectors
 
 

@@ -8,7 +8,9 @@ import sys
 import time
 
 from oracles import (
+    OCTA_FACETS,
     dense_rank,
+    ic_words,
     naive_ih_betti,
     naive_lg_rank,
     naive_ordinary_betti,
@@ -17,16 +19,11 @@ from oracles import (
 )
 from strathom.complexes import Perversity, barycentric_subdivision
 from strathom.corpus import CORPUS, by_name, small_members
-from strathom.facelattice import flag_vector, from_word, ic_words, lattice_from_json
+from strathom.facelattice import flag_vector, from_word, lattice_from_json
 from strathom.hcalc import eval_word, fit_and_predict, ic_check, ic_training_data, rule_C
 from strathom.ihomology import ih_ranks
 from strathom.lghomology import cells_dd_check, lg_ranks
 from strathom.stratsimplex import dd_check, iter_shapes
-
-OCTA_FACETS = [
-    ("a", "b", "c"), ("a", "b", "f"), ("a", "c", "e"), ("a", "e", "f"),
-    ("b", "c", "d"), ("b", "d", "f"), ("c", "d", "e"), ("d", "e", "f"),
-]
 
 
 def _line(capsys, n, ok, detail):

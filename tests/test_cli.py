@@ -10,17 +10,13 @@ from pathlib import Path
 import pytest
 
 import strathom
-from oracles import simplicial_lattice
+from oracles import OCTA_FACETS, ic_words, simplicial_lattice
 from strathom import cli, facelattice
 from strathom.cli import main
 from strathom.complexes import complex_to_json
 from strathom.corpus import by_name
 from strathom.facelattice import flag_vector, lattice_from_json
-
-OCTA_FACETS = [
-    ("a", "b", "c"), ("a", "b", "f"), ("a", "c", "e"), ("a", "e", "f"),
-    ("b", "c", "d"), ("b", "d", "f"), ("c", "d", "e"), ("d", "e", "f"),
-]
+from strathom.hcalc import IcReport, eval_word
 
 
 def run(capsys, argv):
@@ -56,6 +52,37 @@ def test_iccheck(capsys):
     code, out, err = run(capsys, ["iccheck", "--max-len", "4"])
     assert code == 0 and err == ""
     assert out == '{"all_hold": true, "max_len": 4, "words": 30}\n'
+
+
+def test_iccheck_checks_the_h_vectors_of_exactly_the_words_of_each_length(capsys, monkeypatch):
+    want = {n: {eval_word(w) for w in ic_words(n)} for n in range(1, 13)}
+    for max_len in range(1, 13):
+        seen = {}
+
+        def record(h):
+            seen.setdefault(len(h) - 1, set()).add(h)
+            return IcReport(h, (), ())
+
+        monkeypatch.setattr(cli, "ic_check", record)
+        code, out, err = run(capsys, ["iccheck", "--max-len", str(max_len)])
+        assert code == 0 and err == ""
+        words = 2 ** (max_len + 1) - 2
+        assert out == f'{{"all_hold": true, "max_len": {max_len}, "words": {words}}}\n'
+        assert seen == {n: want[n] for n in range(1, max_len + 1)}
+
+
+def test_iccheck_fails_when_the_check_fails_on_one_word(capsys, monkeypatch):
+    real, broken = cli.ic_check, eval_word("CICIICCII")
+
+    def check(h):
+        return IcReport(h, h, ()) if h == broken else real(h)
+
+    monkeypatch.setattr(cli, "ic_check", check)
+    for max_len, holds in ((8, "true"), (9, "false"), (12, "false")):
+        code, out, err = run(capsys, ["iccheck", "--max-len", str(max_len)])
+        words = 2 ** (max_len + 1) - 2
+        assert (code, err) == (0, "")
+        assert out == f'{{"all_hold": {holds}, "max_len": {max_len}, "words": {words}}}\n'
 
 
 def test_fibrank(capsys):
@@ -153,8 +180,12 @@ def test_identical_invocations_are_byte_identical(capsys, tmp_path):
     ["ih", "--in", "/does/not/exist.json"],
     ["shapes", "--max-total-dim", "3"],
     ["shapes", "--dd-check", "--max-total-dim", "-3"],
+    ["lg", "--in", "EDGE", "--dim-seq", "1_0,0", "--w", "0"],
+    ["lg", "--in", "EDGE", "--dim-seq", "x,0", "--w", "0"],
 ])
-def test_validation_failures_exit_one_with_message(capsys, argv):
+def test_validation_failures_exit_one_with_message(capsys, tmp_path, argv):
+    # a valid complex, so only the arguments can be at fault
+    argv = [write_json(tmp_path, "edge.json", EDGE) if a == "EDGE" else a for a in argv]
     code, out, err = run(capsys, argv)
     assert code == 1
     assert out == ""
@@ -162,7 +193,7 @@ def test_validation_failures_exit_one_with_message(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, work", [
-    (["iccheck", "--max-len", "19"], "ic_words"),
+    (["iccheck", "--max-len", "33"], "ic_check"),
     (["fibrank", "--dim", "14"], "ic_flag_rank"),
     (["fit", "--dim", "14", "--predict", "QUERY"], "ic_training_data"),
     (["shapes", "--dd-check", "--max-total-dim", "15"], "iter_shapes"),
@@ -408,6 +439,10 @@ def test_bad_dim_seq_exits_one(capsys, tmp_path):
     path = write_json(tmp_path, "ch.json", complex_to_json(by_name("cone_hexagon")))
     code, _, err = run(capsys, ["lg", "--in", path, "--dim-seq", "1,1", "--w", "0"])
     assert code == 1 and "dim-seq" in err
+    # only <digits>,0 is read; int() alone would take "1_0" as 10 and " 1" as 1
+    for dim_seq in ("1_0,0", "x,0", " 1,0", "1, 0", "+1,0", "1,0,0", ",0", "1", "\u0661,0"):
+        code, out, err = run(capsys, ["lg", "--in", path, "--dim-seq", dim_seq, "--w", "0"])
+        assert (code, out, err) == (1, "", "error: --dim-seq must have the form 'i,0'\n"), dim_seq
 
 
 USAGE = "usage: strathom [-h] {word,iccheck,flag,fibrank,fit,ih,lg,shapes} ..."

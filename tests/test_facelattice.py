@@ -6,7 +6,14 @@ from math import comb, factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_rank, simplicial_lattice
+from oracles import (
+    OCTA_FACETS,
+    PENTAGON_FACETS,
+    cyclic_facets,
+    dense_rank,
+    ic_words,
+    simplicial_lattice,
+)
 from strathom import facelattice
 from strathom.errors import DomainError, ValidationError
 from strathom.facelattice import (
@@ -18,34 +25,12 @@ from strathom.facelattice import (
     from_word,
     ic_basis,
     ic_flag_rank,
-    ic_words,
     lattice_from_json,
     parse_word,
     point,
     prism,
     pyramid,
 )
-
-OCTA_FACETS = [
-    ("a", "b", "c"), ("a", "b", "f"), ("a", "c", "e"), ("a", "e", "f"),
-    ("b", "c", "d"), ("b", "d", "f"), ("c", "d", "e"), ("d", "e", "f"),
-]
-PENTAGON_FACETS = [("p1", "p2"), ("p2", "p3"), ("p3", "p4"), ("p4", "p5"), ("p5", "p1")]
-
-
-def cyclic_facets(n, d):
-    """Facets of the cyclic polytope C(n, d) by Gale's evenness condition."""
-    out = []
-    for facet in combinations(range(n), d):
-        gaps = [v for v in range(n) if v not in facet]
-        if all(sum(1 for x in facet if i < x < j) % 2 == 0 for i, j in combinations(gaps, 2)):
-            out.append(tuple(f"v{x}" for x in facet))
-    return out
-
-
-def simplicial(facets):
-    """The face lattice of a simplicial polytope, read from its document."""
-    return lattice_from_json(simplicial_lattice(facets))
 
 
 def face_counts(lattice):
@@ -169,7 +154,7 @@ def test_square_flag_vector():
 
 
 def test_octahedron_flag_vector():
-    fv = flag_vector(simplicial(OCTA_FACETS))
+    fv = flag_vector(lattice_from_json(simplicial_lattice(OCTA_FACETS)))
     want = {(): 1, (0,): 6, (1,): 12, (2,): 8,
             (0, 1): 24, (0, 2): 24, (1, 2): 24, (0, 1, 2): 48}
     assert by_subset(fv) == want
@@ -185,7 +170,7 @@ def test_cube_flag_vector():
 def test_dual_is_an_involution_and_swaps_cube_octahedron():
     cube = from_word("III")
     assert flag_vector(dual(dual(cube))).entries == flag_vector(cube).entries
-    octa = simplicial(OCTA_FACETS)
+    octa = lattice_from_json(simplicial_lattice(OCTA_FACETS))
     assert flag_vector(dual(cube)).entries == flag_vector(octa).entries
     assert face_counts(octa) == (6, 12, 8)
 
@@ -193,15 +178,6 @@ def test_dual_is_an_involution_and_swaps_cube_octahedron():
 def test_flag_rank_small_dimensions():
     got = [word_rank(ic_words(n)) for n in range(1, 5)]
     assert got == [1, 2, 3, 5]
-
-
-def test_ic_words_sorted_and_sized():
-    for n in range(1, 6):
-        words = ic_words(n)
-        assert words == sorted(set(words)) and len(words) == 2 ** n
-        assert all(len(w) == n for w in words)
-    with pytest.raises(DomainError, match="n >= 1"):
-        ic_words(0)
 
 
 def test_lattice_json_roundtrip():
@@ -275,9 +251,9 @@ def test_flag_entries_grow_under_refinement(word):
 
 
 FIXED_LATTICES = {
-    "octahedron": lambda: simplicial(OCTA_FACETS),
-    "pentagon": lambda: simplicial(PENTAGON_FACETS),
-    "C(7,4)": lambda: simplicial(cyclic_facets(7, 4)),
+    "octahedron": lambda: lattice_from_json(simplicial_lattice(OCTA_FACETS)),
+    "pentagon": lambda: lattice_from_json(simplicial_lattice(PENTAGON_FACETS)),
+    "C(7,4)": lambda: lattice_from_json(simplicial_lattice(cyclic_facets(7, 4))),
 }
 
 
@@ -311,7 +287,7 @@ def test_flag_vector_of_cube7_is_the_closed_form():
 
 def test_flag_vector_of_cyclic_12_8_is_the_closed_form():
     facets = cyclic_facets(12, 8)
-    fv = flag_vector(simplicial(facets))
+    fv = flag_vector(lattice_from_json(simplicial_lattice(facets)))
     f = [len({face for facet in facets for face in combinations(facet, k + 1)})
          for k in range(8)]
     for mask, value in enumerate(fv.entries):

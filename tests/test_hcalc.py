@@ -1,12 +1,21 @@
 """Rules I and C, the consistency identity, and the rational flag fit."""
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import nullspace, row_reduce, simplicial_h_vector, simplicial_lattice, toric_h
+from oracles import (
+    OCTA_FACETS,
+    PENTAGON_FACETS,
+    cyclic_facets,
+    ic_words,
+    nullspace,
+    row_reduce,
+    simplicial_h_vector,
+    simplicial_lattice,
+    toric_h,
+)
 from strathom.errors import DomainError
 from strathom.facelattice import (
     FlagVector,
@@ -15,7 +24,6 @@ from strathom.facelattice import (
     flag_vector,
     from_word,
     ic_basis,
-    ic_words,
     lattice_from_json,
 )
 from strathom.hcalc import (
@@ -27,26 +35,7 @@ from strathom.hcalc import (
     rule_I,
 )
 
-OCTA_FACETS = [
-    ("a", "b", "c"), ("a", "b", "f"), ("a", "c", "e"), ("a", "e", "f"),
-    ("b", "c", "d"), ("b", "d", "f"), ("c", "d", "e"), ("d", "e", "f"),
-]
-PENTAGON_FACETS = [("p1", "p2"), ("p2", "p3"), ("p3", "p4"), ("p4", "p5"), ("p5", "p1")]
 SQUARE_FACETS = [("q1", "q2"), ("q2", "q3"), ("q3", "q4"), ("q4", "q1")]
-
-
-def simplicial(facets):
-    """The face lattice of a simplicial polytope, read from its document."""
-    return lattice_from_json(simplicial_lattice(facets))
-
-
-def cyclic_facets(m, d):
-    """Facets of the cyclic polytope C(m, d) by Gale's evenness condition."""
-    return [tuple(f"v{x}" for x in f) for f in combinations(range(m), d)
-            if all(sum(1 for x in f if i < x < j) % 2 == 0
-                   for i, j in combinations([v for v in range(m) if v not in f], 2))]
-
-
 CYCLIC_7_4_FACETS = cyclic_facets(7, 4)
 
 
@@ -100,8 +89,7 @@ def test_eval_word_rejects_bad_letters():
 
 
 def test_ic_check_holds_on_all_short_words():
-    words = [w for n in range(1, 7)
-             for w in ("".join(p) for p in __import__("itertools").product("IC", repeat=n))]
+    words = [w for n in range(1, 7) for w in ic_words(n)]
     assert len(words) == 126
     for word in words:
         report = ic_check(eval_word(word))
@@ -116,7 +104,7 @@ def test_ic_check_report_fields():
 
 def test_fit_predicts_octahedron_h_vector():
     training = ic_training_data(3)
-    octa = flag_vector(simplicial(OCTA_FACETS))
+    octa = flag_vector(lattice_from_json(simplicial_lattice(OCTA_FACETS)))
     prediction = fit_and_predict(training, octa)
     assert prediction == (1, 3, 3, 1)
     assert prediction == simplicial_h_vector(OCTA_FACETS)
@@ -126,29 +114,38 @@ def test_fit_predicts_cube_and_polygons():
     training3 = ic_training_data(3)
     cube = flag_vector(from_word("III"))
     assert fit_and_predict(training3, cube) == (1, 5, 5, 1)
-    training2 = ic_training_data(2)
-    pentagon = flag_vector(simplicial(PENTAGON_FACETS))
-    square = flag_vector(simplicial(SQUARE_FACETS))
+    training2 = list(ic_training_data(2))
+    pentagon = flag_vector(lattice_from_json(simplicial_lattice(PENTAGON_FACETS)))
+    square = flag_vector(lattice_from_json(simplicial_lattice(SQUARE_FACETS)))
     assert fit_and_predict(training2, pentagon) == (1, 3, 1)
     assert fit_and_predict(training2, square) == (1, 2, 1)
     assert fit_and_predict(training2, pentagon) == simplicial_h_vector(PENTAGON_FACETS)
 
 
 def test_fit_rejects_bad_training_and_queries():
+    # the pairs are fed as generators: each refusal is met while they stream
+    # in, and no pair after the one that breaks the shape is read
     square = flag_vector(from_word("II"))
-    with pytest.raises(DomainError, match="at least one"):
-        fit_and_predict([], square)
-    mixed = ic_training_data(2) + ic_training_data(3)
-    with pytest.raises(DomainError, match="one dimension"):
-        fit_and_predict(mixed, square)
-    ragged = ic_training_data(2)
-    flag, h = ragged[1]
-    ragged[1] = (flag, h + (0,))
-    with pytest.raises(DomainError, match="one length"):
-        fit_and_predict(ragged, square)
-    training = ic_training_data(3)
+    read = []
+
+    def feed(pairs):
+        for pair in pairs:
+            read.append(pair)
+            yield pair
+
+    with pytest.raises(DomainError, match="fit needs at least one training pair"):
+        fit_and_predict(feed([]), square)
+    two, three = list(ic_training_data(2)), list(ic_training_data(3))
+    with pytest.raises(DomainError, match=r"must share one dimension, got \[2, 3\]"):
+        fit_and_predict(feed([*two, *three]), square)
+    assert len(read) == len(two) + 1
+    read.clear()
+    flag, h = two[1]
+    with pytest.raises(DomainError, match="training h-vectors must share one length"):
+        fit_and_predict(feed([two[0], (flag, h + (0,)), *two[2:]]), square)
+    assert len(read) == 2
     with pytest.raises(DomainError, match="dimension"):
-        fit_and_predict(training, flag_vector(from_word("II")))
+        fit_and_predict(ic_training_data(3), flag_vector(from_word("II")))
 
 
 def span_weights(flags, query):
@@ -164,9 +161,9 @@ def span_weights(flags, query):
 
 
 @pytest.mark.parametrize("n, query", [
-    (3, lambda: flag_vector(simplicial(OCTA_FACETS))),
+    (3, lambda: flag_vector(lattice_from_json(simplicial_lattice(OCTA_FACETS)))),
     (3, lambda: flag_vector(from_word("III"))),
-    (4, lambda: flag_vector(simplicial(CYCLIC_7_4_FACETS))),
+    (4, lambda: flag_vector(lattice_from_json(simplicial_lattice(CYCLIC_7_4_FACETS)))),
     # the query column reduces to its tag row alone: the prediction is 0
     (2, lambda: FlagVector(2, (0,) * 4)),
 ])
@@ -190,7 +187,7 @@ def test_prediction_is_the_span_combination_of_training_h_vectors(n, query):
 def test_prediction_undetermined_off_the_span():
     # Flag vectors of polytopes satisfy linear relations; bumping one
     # coordinate leaves the training span and the prediction must refuse.
-    octa = flag_vector(simplicial(OCTA_FACETS))
+    octa = flag_vector(lattice_from_json(simplicial_lattice(OCTA_FACETS)))
     bumped = list(octa.entries)
     bumped[0b001] += 1
     with pytest.raises(DomainError, match="not determined"):
@@ -222,7 +219,7 @@ def test_fit_refuses_training_with_one_bumped_h_vector(index):
     training = list(all_pairs(3))
     flag, h = training[index]
     training[index] = (flag, (h[0] + 1,) + h[1:])
-    octa = flag_vector(simplicial(OCTA_FACETS))
+    octa = flag_vector(lattice_from_json(simplicial_lattice(OCTA_FACETS)))
     with pytest.raises(DomainError, match="no linear function fits"):
         fit_and_predict(training, octa)
 
@@ -251,13 +248,13 @@ def test_training_data_pairs_each_word_with_its_dual_polytope():
     # the words are the pyramid and the prism of each basis word one shorter
     for n in range(1, 7):
         shorter = [w for w, _ in ic_basis(n - 1)] if n > 1 else [""]
-        assert ic_training_data(n) == [(flag_vector(dual(from_word(c + w))), eval_word(c + w))
+        assert list(ic_training_data(n)) == [(flag_vector(dual(from_word(c + w))), eval_word(c + w))
                                        for w in shorter for c in "CI"]
 
 
 def test_basis_training_predicts_what_all_pairs_training_predicts():
     for n in range(1, 7):
-        training = ic_training_data(n)
+        training = list(ic_training_data(n))
         assert len(training) == 2 * fibonacci(n)
         for flag, _ in all_pairs(n):
             # flag is the dual of a word's polytope, flag.dual() the polytope
@@ -266,7 +263,7 @@ def test_basis_training_predicts_what_all_pairs_training_predicts():
 
 
 def test_fit_and_predict_takes_rational_pairs():
-    octa = flag_vector(simplicial(OCTA_FACETS))
+    octa = flag_vector(lattice_from_json(simplicial_lattice(OCTA_FACETS)))
     thirds = [(flag, tuple(Fraction(v, 3) for v in h)) for flag, h in all_pairs(3)]
     assert fit_and_predict(thirds, octa) == (Fraction(1, 3), 1, 1, Fraction(1, 3))
     halves = [(flag, tuple(v / 2 for v in h)) for flag, h in ic_training_data(3)]
@@ -290,7 +287,7 @@ def test_fit_computes_the_toric_h_vector(polytope, take_dual):
     if isinstance(polytope, str):
         lattice = from_word(polytope)
     else:
-        lattice = simplicial(cyclic_facets(*polytope))
+        lattice = lattice_from_json(simplicial_lattice(cyclic_facets(*polytope)))
     if take_dual:
         lattice = dual(lattice)
     n = lattice.dim
