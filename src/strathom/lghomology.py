@@ -54,6 +54,22 @@ that simplex with its columns still sorted, its boundary signs unchanged
 and its facets still canonical.  Allowability reads only the labels the
 images carry, so each template is judged once per label vector of a
 simplex, however many simplices carry it.
+
+Only a local basis of each simplex's columns is reduced.  The kept
+templates of one template set and label vector have their boundaries
+reduced once, in local indices, and a simplex carrying them feeds only
+the templates whose local boundary took a new pivot.  This loses nothing:
+renaming by simplex[q] is injective on the local vertices and linear on
+chains, so a relation among the local boundaries of some templates is the
+same relation among the global boundary columns of their cells on that
+simplex.  Each dropped column is therefore a combination of columns that
+are fed, and dropping it leaves unchanged the column space of the (i,0)
+boundary map, and that of [S; A], the (i+1,0) and (i,1) boundaries split
+into their stray rows S and their rows A on allowed (i,0) cells, together
+with its projection on S.  So the cycles, the allowed (i,0) cells less the
+rank of their boundary map, are unchanged, and so is
+dim B = rank [S; A] - rank S.  Every allowed (i,0) cell stays a row, and
+the cell counts count every allowed cell.
 """
 
 from __future__ import annotations
@@ -257,6 +273,29 @@ def cell_allowed(k: StratifiedComplex, cell: tuple, w1: int) -> bool:
     return _label_verdict([k.labels[v] for v in images], j, k.dim, k.perversity, w1)
 
 
+class _Kept(list):
+    """The templates of one template set allowed on one label vector.
+
+    basis is the sublist, in the same order, of the templates whose local
+    boundaries each take a new pivot when reduced one after another, rows
+    being the child cells in local indices 0..size-1.  It is reduced the
+    first time it is read, so a template set and label vector that only
+    ever reach `lg_ranks` past its exit are never reduced.
+    """
+
+    def __init__(self, templates, size):
+        super().__init__(templates)
+        self.local = range(size)
+
+    @cached_property
+    def basis(self):
+        reduction = ColumnReduction()
+        rows = {}
+        return [t for t in self if reduction.add_column(
+            {rows.setdefault((cj, cpick(self.local)), len(rows)): coef
+             for cj, cpick, coef in t.terms}) is not None]
+
+
 class _Template:
     """One template of `_templates`, its boundary compiled on first use.
 
@@ -282,11 +321,12 @@ def _allowed_cells(k: StratifiedComplex, i: int, j: int, w1: int):
     allowed at the apex floor w1 are t.pick(simplex) for t in keep, in
     that order.
 
-    Each template's boundary is compiled once, when the first of its cells
-    is fed to a reduction and reads its terms, so the cells `lg_ranks` only
-    counts past its exit compile nothing.  The templates kept are decided
-    once per label vector of a simplex, and the same list is yielded for
-    every simplex carrying it.  Templates are built anew on every call.
+    The templates kept are decided once per label vector of a simplex, and
+    the same `_Kept` list is yielded for every simplex carrying it; its
+    local basis is the part of it that `lg_ranks` feeds.  Each template's
+    boundary is compiled once, when that basis is first reduced and reads
+    its terms, so the cells `lg_ranks` only counts past its exit compile
+    nothing.  Templates are built anew on every call.
     """
     m, p, label = k.dim, k.perversity, k.labels.__getitem__
     for s in _sizes(k, i, j):
@@ -296,8 +336,8 @@ def _allowed_cells(k: StratifiedComplex, i: int, j: int, w1: int):
             labels = tuple(map(label, simplex))
             keep = verdicts.get(labels)
             if keep is None:
-                keep = verdicts[labels] = [
-                    t for t in templates if _label_verdict(t.pick(labels), j, m, p, w1)]
+                keep = verdicts[labels] = _Kept(
+                    [t for t in templates if _label_verdict(t.pick(labels), j, m, p, w1)], s)
             yield simplex, keep
 
 
@@ -317,6 +357,10 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
     Column operations never remove a pivot, so that count only grows, and
     feeding stops once it reaches dim Z; the cells left are only counted,
     a simplex at a time, and their boundaries are never compiled.
+
+    Every allowed cell is counted and every allowed (i,0) cell is a row,
+    but a simplex feeds both reductions only the local basis of its kept
+    templates, which gives the same Z and B (see the module docstring).
     """
     if w1 < 0:
         raise ValidationError(f"w-sequence entries must be integers >= 0, got {w1!r}")
@@ -336,6 +380,7 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
     for simplex, keep in _allowed_cells(k, i, 0, w1):
         for t in keep:
             pos[0, t.pick(simplex)] = len(pos)
+        for t in keep.basis:
             zred.add_column({rows.setdefault((cj, cpick(simplex)), len(rows)): coef
                              for cj, cpick, coef in t.terms})
     n_allowed = len(pos)
@@ -349,7 +394,9 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
         n = 0
         for simplex, keep in _allowed_cells(k, base_dim, j, w1):
             n += len(keep)
-            for t in keep:
+            if boundaries == cycles:
+                continue
+            for t in keep.basis:
                 if boundaries == cycles:
                     break
                 col = {}
