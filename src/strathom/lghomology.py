@@ -20,11 +20,12 @@ once degenerate summands are dropped.
 The boundary of a cell is the boundary of its shape, `stratsimplex.facets`,
 with the same signs: a facet of simplex(j) drops one cone map, a facet of
 the base drops one column from every map, and the coning direction has no
-facet.  The oracle in tests/oracles.py keeps the sign rule this module
-had before (a cone loses base corner l with sign (-1)^l, a prism lists
-its end maps as +end1 - end0 and its base facets with sign (-1)^(l+1));
-a cell of shape (i, j) here is (-1)^i times the oracle's, so cycles,
-boundaries and ranks are the same under both.
+facet.  The oracle in tests/oracles.py writes its signs out by hand,
+apart from `stratsimplex`: a cone loses base corner l with sign (-1)^l, a
+prism lists its end maps as +end1 - end0 and its base facets with sign
+(-1)^(l+1).  Those are the signs here after rescaling each cell of shape
+(i, j) by (-1)^i, a change of basis, so cycles, boundaries and ranks are
+the same under both.
 
 Allowability splits in two parts.  The perversity part constrains only the
 slices away from the cone point.  A point of a closed simplex lies in X_d
@@ -75,7 +76,6 @@ the cell counts count every allowed cell.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import itemgetter
@@ -91,16 +91,7 @@ __all__ = [
     "cell_boundary",
     "cell_allowed",
     "lg_ranks",
-    "cells_dd_check",
 ]
-
-
-def _maps(j, images):
-    """The cone maps of a cell, (apex, base...) each; j is 0 or 1."""
-    if not j:
-        return (images,)
-    w = len(images) // 2
-    return images[:w], images[w:]
 
 
 @dataclass(frozen=True)
@@ -116,12 +107,32 @@ def _sizes(k: StratifiedComplex, i: int, j: int) -> range:
     return range(1, min(k.dim + 1, (j + 1) * (i + 2)) + 1)
 
 
-def _templates(i: int, j: int, s: int) -> list:
-    """Images, end to end, of every canonical non-degenerate cell of shape
-    (i, j) spanning exactly the local simplex 0..s-1.
+class _Template:
+    """One template, its boundary compiled on first use.
 
-    The order is that of `enumerate_cells` inside one supporting simplex:
-    column sets in itertools.combinations order, then apex images in
+    cell is the template as a cell (j, images) in local indices, and
+    pick(simplex) renames it into a cell of that simplex.  terms
+    lists the template's boundary as (child j, child pick, coefficient) in
+    `cell_boundary` order, the child's images being child pick(simplex).
+    """
+
+    def __init__(self, j, images):
+        self.cell = j, images
+        self.pick = itemgetter(*images)
+
+    @cached_property
+    def terms(self):
+        return [(cj, itemgetter(*cimages), coef)
+                for (cj, cimages), coef in cell_boundary(self.cell).items()]
+
+
+def _templates(i: int, j: int, s: int) -> list:
+    """A `_Template` for every canonical non-degenerate cell of shape (i, j)
+    spanning exactly the local simplex 0..s-1.
+
+    The order: column sets in itertools.combinations order, a column
+    being the images of one base corner under the j+1 cone maps and the
+    columns listed in itertools.product order; then apex images in
     itertools.product order.
     """
     n_maps = j + 1
@@ -137,7 +148,7 @@ def _templates(i: int, j: int, s: int) -> list:
         tied = len(set(bases)) < n_maps
         for apexes in apex_choices:
             if missing.issubset(apexes) and not (tied and len(set(apexes)) < n_maps):
-                out.append(tuple(itertools.chain.from_iterable(zip(apexes, *cols))))
+                out.append(_Template(j, tuple(itertools.chain.from_iterable(zip(apexes, *cols)))))
     return out
 
 
@@ -158,9 +169,9 @@ def enumerate_cells(k: StratifiedComplex, i: int, j: int = 0) -> list:
         raise ValidationError(f"cell shape (i, j) needs j in 0..1, got {j!r}")
     out = []
     for s in _sizes(k, i, j):
-        picks = [itemgetter(*t) for t in _templates(i, j, s)]
+        templates = _templates(i, j, s)
         for simplex in k.simplices_of_dim(s - 1):
-            out.extend((j, pick(simplex)) for pick in picks)
+            out.extend((j, t.pick(simplex)) for t in templates)
     return out
 
 
@@ -186,14 +197,16 @@ def _canonical(j, images):
     """(sign, images with sorted columns) of the cell (j, images).
 
     Permuting columns multiplies a cell by the sign of the permutation; a
-    degenerate cell is zero and gives (0, None).  A single map's columns
-    are compared as its base images.
+    degenerate cell is zero and gives (0, None).
     """
-    maps = _maps(j, images)
-    if len(set(maps)) < len(maps):
-        return 0, None
-    keys = maps[0][1:] if not j else tuple(zip(*[f[1:] for f in maps]))
-    if len(set(keys)) < len(keys):
+    if j:
+        w = len(images) // 2
+        maps = images[:w], images[w:]
+        keys = tuple(zip(maps[0][1:], maps[1][1:]))
+    else:
+        maps = (images,)
+        keys = images[1:]
+    if len(set(maps)) < len(maps) or len(set(keys)) < len(keys):
         return 0, None
     if keys == tuple(sorted(keys)):
         return 1, images
@@ -235,25 +248,21 @@ def _map_sets(i, j):
                  for size in range(1, j + 2) for ids in itertools.combinations(range(j + 1), size))
 
 
-def _perversity_ok(labels, i, j, m, p):
-    for cuts, extra in _map_sets(i, j):
-        if extra:
-            depth = sorted(map(max, *[labels[cut] for cut in cuts]))
-        else:
-            depth = sorted(labels[cuts[0]])
-        if not perversity_ok(depth, i + j, m, p, extra):
-            return False
-    return True
-
-
 def _label_verdict(labels, j, m, p, w1):
     """Whether a cell of shape (i, j) whose images, end to end, carry these
     labels passes the perversity part and has its apex stratum w_1 at
     least w1."""
     width = len(labels) // (j + 1)
     # with no label <= m - 2 no point of the cell lies in a singular stratum
-    ok = min(labels) > m - 2 or _perversity_ok(labels, width - 2, j, m, p)
-    return ok and max(labels[::width]) >= w1
+    if min(labels) <= m - 2:
+        for cuts, extra in _map_sets(width - 2, j):
+            if extra:
+                depth = sorted(map(max, *[labels[cut] for cut in cuts]))
+            else:
+                depth = sorted(labels[cuts[0]])
+            if not perversity_ok(depth, width - 2 + j, m, p, extra):
+                return False
+    return max(labels[::width]) >= w1
 
 
 def cell_allowed(k: StratifiedComplex, cell: tuple, w1: int) -> bool:
@@ -296,25 +305,6 @@ class _Kept(list):
              for cj, cpick, coef in t.terms}) is not None]
 
 
-class _Template:
-    """One template of `_templates`, its boundary compiled on first use.
-
-    cell is the template as a cell (j, images) in local indices, and
-    pick(simplex) renames it into a cell of that simplex.  terms
-    lists the template's boundary as (child j, child pick, coefficient) in
-    `cell_boundary` order, the child's images being child pick(simplex).
-    """
-
-    def __init__(self, j, images):
-        self.cell = j, images
-        self.pick = itemgetter(*images)
-
-    @cached_property
-    def terms(self):
-        return [(cj, itemgetter(*cimages), coef)
-                for (cj, cimages), coef in cell_boundary(self.cell).items()]
-
-
 def _allowed_cells(k: StratifiedComplex, i: int, j: int, w1: int):
     """(simplex, keep) for every simplex of a size that supports cells of
     shape (i, j), in `enumerate_cells` order; the cells of that simplex
@@ -330,7 +320,7 @@ def _allowed_cells(k: StratifiedComplex, i: int, j: int, w1: int):
     """
     m, p, label = k.dim, k.perversity, k.labels.__getitem__
     for s in _sizes(k, i, j):
-        templates = [_Template(j, t) for t in _templates(i, j, s)]
+        templates = _templates(i, j, s)
         verdicts = {}
         for simplex in k.simplices_of_dim(s - 1):
             labels = tuple(map(label, simplex))
@@ -416,24 +406,3 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
         rank=cycles - boundaries, cells=dict(zip(keys, counts)),
         cycles=cycles, boundaries=boundaries,
     )
-
-
-def cells_dd_check(k: StratifiedComplex) -> bool:
-    """True when the double boundary of every cell with base dim <= 2
-    vanishes in the degeneracy quotient.
-
-    A cell is its template renamed in order, and renaming commutes with
-    the boundary, so the templates of every shape and every simplex size
-    the complex has stand for all of its cells.
-    """
-    for i in range(3):
-        for j in (0, 1):
-            for s in _sizes(k, i, j):
-                for images in _templates(i, j, s):
-                    total = Counter()
-                    for child, coef in cell_boundary((j, images)).items():
-                        for grand, coef2 in cell_boundary(child).items():
-                            total[grand] += coef * coef2
-                    if any(total.values()):
-                        return False
-    return True

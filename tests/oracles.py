@@ -87,24 +87,31 @@ def nullspace(rows, ncols):
 
 
 def column_pivots(columns):
-    """Lowest-row column reduction over the rationals.
+    """Lowest-row column reduction over the integers.
 
-    Columns are {row: integer} dicts fed in order; each is reduced by
-    subtracting Fraction multiples of earlier reduced columns until its
-    largest nonzero row is no earlier column's pivot.  Returns that row
+    Columns are {row: integer} dicts fed in order; each is replaced by an
+    integer combination with the earlier reduced column whose pivot is its
+    largest nonzero row, divided by its content, until that row is no
+    earlier column's pivot.  Scaling moves no nonzero entry, so the pivots
+    are those of the same reduction over the rationals.  Returns that row
     for every column, or None where the column reduces to zero.
     """
     reduced = {}
     out = []
     for col in columns:
-        col = {r: Fraction(v) for r, v in col.items() if v}
+        col = {r: v for r, v in col.items() if v}
         while col and max(col) in reduced:
-            piv = reduced[max(col)]
-            ratio = col[max(col)] / piv[max(col)]
+            low = max(col)
+            piv = reduced[low]
+            g = gcd(col[low], piv[low])
+            a, b = piv[low] // g, col[low] // g
+            col = {r: a * v for r, v in col.items()}
             for r, v in piv.items():
-                col[r] = col.get(r, 0) - ratio * v
-                if not col[r]:
-                    del col[r]
+                col[r] = col.get(r, 0) - b * v
+            col = {r: v for r, v in col.items() if v}
+            g = gcd(*col.values()) if col else 1
+            if g > 1:
+                col = {r: v // g for r, v in col.items()}
         if col:
             reduced[max(col)] = col
         out.append(max(col) if col else None)
@@ -544,4 +551,40 @@ def naive_lg_rank(strata, maximal, perversity, i, w1):
                     row[allowed_ix[rep]] += coeff * coef
         images.append(row)
     dim_b = dense_rank(images)
+    return dim_z - dim_b
+
+
+def sparse_lg_rank(strata, maximal, perversity, i, w1):
+    """The rank `naive_lg_rank` computes, by sparse integer elimination.
+
+    dim Z is the number of allowed (i,0) cells less the rank of their
+    boundaries.  B is the image under A of the kernel of S, where S and A
+    are the rows of the (i+1,0) and (i,1) boundaries on the stray cells
+    and on the allowed (i,0) cells, so dim B = rank [S; A] - rank S.
+    """
+    faces = _closure(maximal)
+    if not faces:
+        return 0
+    m = max(len(f) for f in faces) - 1
+    simplices = sorted(faces)
+
+    def allowed(cells):
+        return [c for c in cells if _lg_allowed(c, strata, m, perversity, w1)]
+
+    def rank(columns):
+        return sum(low is not None for low in column_pivots(columns))
+
+    allowed_ix = {cell: r for r, cell in enumerate(allowed(_lg_cone_cells(simplices, i)))}
+    facets = {}
+    dim_z = len(allowed_ix) - rank(
+        {facets.setdefault(rep, len(facets)): coef for rep, coef in _lg_boundary(cell).items()}
+        for cell in allowed_ix)
+
+    # stray rows are numbered after the allowed ones, which keeps the
+    # columns short while the rows of S are cleared first
+    n = len(allowed_ix)
+    rows = dict(allowed_ix)
+    cols = [{rows.setdefault(rep, len(rows)): coef for rep, coef in _lg_boundary(cell).items()}
+            for cell in allowed(_lg_cone_cells(simplices, i + 1)) + allowed(_lg_prism_cells(simplices, i))]
+    dim_b = rank(cols) - rank({r: coef for r, coef in col.items() if r >= n} for col in cols)
     return dim_z - dim_b

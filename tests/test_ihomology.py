@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import naive_ih_betti, naive_ih_report, naive_ordinary_betti
+from oracles import OCTA_FACETS, naive_ih_betti, naive_ih_report, naive_ordinary_betti
 from random_complexes import every_perversity, small_complexes
 from strathom.complexes import (
     Perversity,
@@ -13,7 +13,7 @@ from strathom.complexes import (
     barycentric_subdivision,
     suspension,
 )
-from strathom.corpus import CORPUS, by_name
+from strathom.corpus import CORPUS, by_name, torus7
 from strathom.exactla import ColumnReduction
 from strathom.ihomology import BettiReport, chain_spaces, ih_ranks
 
@@ -215,3 +215,33 @@ def test_a_manifold_vertex_is_a_removable_stratum(k):
     ranks = ih_ranks(k).ranks
     for v in k.vertices:
         assert ih_ranks(k.with_strata({**k.strata, v: 0})).ranks == ranks, v
+
+
+_ORIENTABLE_SURFACES = {
+    "tetrahedron": [set("abcd") - {v} for v in "abcd"],
+    "octahedron": OCTA_FACETS,
+    "torus7": [torus7().names(f) for f in torus7().maximal],
+}
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(sorted(_ORIENTABLE_SURFACES)), st.integers(min_value=0, max_value=2),
+       st.data())
+def test_poincare_duality_on_suspended_surfaces(surface, subdivisions, data):
+    # IH^p_i = IH^q_{m-i} over Q for complementary perversities on a closed
+    # oriented pseudomanifold (Goresky-MacPherson 1980); the suspension of
+    # a closed orientable surface is one, with two point strata when the
+    # surface is no sphere, and (0, 0) and (0, 1) are complementary in
+    # dimension 3.
+    k = StratifiedComplex(dict.fromkeys(set().union(*_ORIENTABLE_SURFACES[surface]), 3),
+                          _ORIENTABLE_SURFACES[surface])
+    for _ in range(subdivisions):
+        k = barycentric_subdivision(k)
+    k = suspension(k.with_strata(3))
+    names = data.draw(st.permutations(k.vertices))
+    rename = dict(zip(k.vertices, names))
+    k = StratifiedComplex({rename[v]: label for v, label in k.strata.items()},
+                          [[rename[v] for v in k.names(f)] for f in k.maximal])
+    lower = ih_ranks(k.with_perversity(Perversity((0, 0)))).ranks
+    upper = ih_ranks(k.with_perversity(Perversity((0, 1)))).ranks
+    assert lower == tuple(reversed(upper))
