@@ -46,6 +46,15 @@ whose stray terms, (i-1,1) facets and non-allowed (i,0) summands alike, are
 required to cancel; whatever remains is then automatically a cycle
 supported on the allowed cells.
 
+In degree 0 the augmentation bounds B.  A (0,0) cell is a cone on one
+point and has an empty boundary, so Z is spanned by every allowed (0,0)
+cell.  A (1,0) or (0,1) cell has +x - y as the (0,0) part of its
+boundary, x and y two distinct (0,0) cells, so the coefficients of every
+boundary sum to zero over the (0,0) cells, and so do those a qualifying
+combination leaves on the allowed ones.  B thus lies in the kernel of the
+sum of coefficients on Z: dim B <= dim Z - 1 once Z is not zero, and the
+rank at i = 0 is at least 1 whenever an allowed (0,0) cell exists.
+
 Cells are enumerated from local templates.  The template set (i, j, s)
 lists the canonical non-degenerate cells of shape (i, j) whose images span
 exactly the local simplex 0..s-1, with their boundaries in local indices.
@@ -54,7 +63,8 @@ number order: writing simplex[q] for q renames a template into a cell of
 that simplex with its columns still sorted, its boundary signs unchanged
 and its facets still canonical.  Allowability reads only the labels the
 images carry, so each template is judged once per label vector of a
-simplex, however many simplices carry it.
+simplex, however many simplices carry it, and each tuple of labels that
+templates pick is judged once per enumeration.
 
 Only a local basis of each simplex's columns is reduced.  The kept
 templates of one template set and label vector have their boundaries
@@ -313,12 +323,22 @@ def _allowed_cells(k: StratifiedComplex, i: int, j: int, w1: int):
 
     The templates kept are decided once per label vector of a simplex, and
     the same `_Kept` list is yielded for every simplex carrying it; its
-    local basis is the part of it that `lg_ranks` feeds.  Each template's
-    boundary is compiled once, when that basis is first reduced and reads
-    its terms, so the cells `lg_ranks` only counts past its exit compile
-    nothing.  Templates are built anew on every call.
+    local basis is the part of it that `lg_ranks` feeds.  A template's
+    verdict reads only the labels it picks, so `_label_verdict` runs once
+    per picked label tuple, within one call.  Each template's boundary is
+    compiled once, when that basis is first reduced and reads its terms,
+    so the cells `lg_ranks` only counts past its exit compile nothing.
+    Templates and verdicts are built anew on every call.
     """
     m, p, label = k.dim, k.perversity, k.labels.__getitem__
+    judged = {}
+
+    def allowed(picked):
+        verdict = judged.get(picked)
+        if verdict is None:
+            verdict = judged[picked] = _label_verdict(picked, j, m, p, w1)
+        return verdict
+
     for s in _sizes(k, i, j):
         templates = _templates(i, j, s)
         verdicts = {}
@@ -327,7 +347,7 @@ def _allowed_cells(k: StratifiedComplex, i: int, j: int, w1: int):
             keep = verdicts.get(labels)
             if keep is None:
                 keep = verdicts[labels] = _Kept(
-                    [t for t in templates if _label_verdict(t.pick(labels), j, m, p, w1)], s)
+                    [t for t in templates if allowed(t.pick(labels))], s)
             yield simplex, keep
 
 
@@ -347,6 +367,16 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
     Column operations never remove a pivot, so that count only grows, and
     feeding stops once it reaches dim Z; the cells left are only counted,
     a simplex at a time, and their boundaries are never compiled.
+
+    At i = 0 feeding stops one short, at dim Z - 1 when Z is not zero.  A
+    (0,0) cell has an empty boundary, so Z is spanned by every allowed
+    (0,0) cell.  The (0,0) part of the boundary of a (1,0) or (0,1) cell is
+    +x - y for two distinct (0,0) cells x and y, so the coefficients of
+    every column sum to zero over the (0,0) cells.  Once the stray rows
+    cancel, what a combination leaves on the allowed (0,0) cells still
+    sums to zero, so B lies in the kernel of the sum of coefficients on
+    Z, which has dimension dim Z - 1.  Reaching it, B is that kernel, and
+    the cells left are only counted.
 
     Every allowed cell is counted and every allowed (i,0) cell is a row,
     but a simplex feeds both reductions only the local basis of its kept
@@ -376,6 +406,8 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
     n_allowed = len(pos)
     cycles = n_allowed - zred.rank
 
+    # the most B can reach, by the augmentation at i = 0
+    full = cycles - 1 if i == 0 and cycles else cycles
     stray = {}
     bred = ColumnReduction()
     boundaries = 0
@@ -384,10 +416,10 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
         n = 0
         for simplex, keep in _allowed_cells(k, base_dim, j, w1):
             n += len(keep)
-            if boundaries == cycles:
+            if boundaries == full:
                 continue
             for t in keep.basis:
-                if boundaries == cycles:
+                if boundaries == full:
                     break
                 col = {}
                 for cj, cpick, coef in t.terms:

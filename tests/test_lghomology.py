@@ -25,6 +25,8 @@ from strathom.exactla import ColumnReduction
 from strathom.lghomology import (
     _allowed_cells,
     _canonical,
+    _sizes,
+    _templates,
     cell_allowed,
     cell_boundary,
     enumerate_cells,
@@ -198,6 +200,22 @@ def test_boundary_sorts_columns_with_the_permutation_sign():
         child: -coef for child, coef in cell_boundary(_cell(("a", "u", "v"))).items()}
 
 
+def test_degree_zero_boundaries_sum_to_zero_over_the_point_cells():
+    # The premise of the exit at i = 0 in lg_ranks: a (0,0) cell has an
+    # empty boundary, and a (1,0) or (0,1) cell has +x - y on the (0,0)
+    # cells, so every boundary column sums to zero over them.  Templates
+    # stand for every cell, since renaming commutes with the boundary.
+    for s in range(1, 5):
+        for t in _templates(0, 0, s):
+            assert cell_boundary(t.cell) == {}, t.cell
+        for i, j in ((1, 0), (0, 1)):
+            for t in _templates(i, j, s):
+                on_points = sorted(coef for child, coef in cell_boundary(t.cell).items()
+                                   if child[0] == 0 and _base_dim(child) == 0)
+                assert on_points == [-1, 1], t.cell
+    assert [len(_templates(0, 0, s)) for s in (1, 2)] == [1, 2]
+
+
 # ------------------------------------------------------------ allowability
 
 
@@ -212,6 +230,37 @@ def test_cell_allowed_desk_cases():
     assert cell_allowed(ch, deep_base, 0) is False
     high_apex = _numbered(ch, _cell(("v0", "v1", "v2")))
     assert cell_allowed(ch, high_apex, 2) and not cell_allowed(ch, high_apex, 3)
+
+
+def test_each_picked_label_tuple_is_judged_once_per_call(monkeypatch):
+    # Within one _allowed_cells call the verdict of a template reads only
+    # the labels it picks, and each distinct picked tuple is judged once;
+    # nothing outlives the call, so two identical lg_ranks calls judge as
+    # many tuples each.
+    k = barycentric_subdivision(by_name("susp_hexagon"))
+    judged = []
+    verdict = lghomology._label_verdict
+
+    def counted(labels, *args):
+        judged.append(labels)
+        return verdict(labels, *args)
+
+    monkeypatch.setattr(lghomology, "_label_verdict", counted)
+    for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        picked = {t.pick(tuple(k.labels[v] for v in simplex))
+                  for s in _sizes(k, i, j) for t in _templates(i, j, s)
+                  for simplex in k.simplices_of_dim(s - 1)}
+        for w1 in range(k.dim + 1):
+            judged.clear()
+            for _ in _allowed_cells(k, i, j, w1):
+                pass
+            assert sorted(judged) == sorted(picked), (i, j, w1)
+    judged.clear()
+    first = lg_ranks(k, 1, 0)
+    calls = len(judged)
+    judged.clear()
+    assert lg_ranks(k, 1, 0) == first
+    assert len(judged) == calls > 0
 
 
 def test_w_sequence_validation():
@@ -307,6 +356,8 @@ def test_lg_ranks_desk_values():
     ("circle6", 0, 0, 1),
     ("circle6", 1, 0, 0),
     ("susp_hexagon", 0, 0, 1),
+    # a rank above 1 at i = 0, so an exit cutting B below dim Z - 1 fails
+    ("two_circles", 0, 0, 2),
 ])
 def test_lg_ranks_match_brute_force_oracle(name, i, w1, expected):
     k = by_name(name)
@@ -337,19 +388,44 @@ def test_lg_ranks_match_the_oracle_on_random_complexes(k, data):
             allowed(_lg_prism_cells(simplices, i))]
 
 
+@settings(deadline=None, max_examples=25)
+@given(small_complexes(), st.data())
+def test_degree_zero_rank_is_positive_exactly_when_a_point_cell_is_allowed(k, data):
+    # B at i = 0 lies in the kernel of the sum of coefficients on Z, so the
+    # rank is at least 1 once Z is not zero; the oracle knows nothing of it.
+    strata, maximal = _oracle_inputs(k)
+    w1 = data.draw(st.integers(min_value=0, max_value=k.dim))
+    points = any(_lg_allowed(c, strata, k.dim, k.perversity, w1)
+                 for c in _lg_cone_cells(sorted(_closure(maximal)), 0))
+    rank = sparse_lg_rank(strata, maximal, k.perversity, 0, w1)
+    assert (rank >= 1) == points
+    assert lg_ranks(k, 0, w1).rank == rank
+
+
 def test_boundary_columns_stop_once_they_span_the_cycles(monkeypatch):
     # At i = 1 the group vanishes and B spans Z within the (2,0) columns,
-    # so no (1,1) prism is fed; at i = 0 it does not, and every simplex
-    # feeds its whole local basis.  Only the columns fed to the two global
-    # reductions are counted, not those of the local bases' reductions.
+    # so no (1,1) prism is fed.  At i = 0 the group has rank 1, and feeding
+    # stops once B reaches dim Z - 1, so fewer columns are fed than the
+    # local bases hold and some (0,1) prism templates are counted but
+    # never compiled.  Only the columns fed to the two global reductions
+    # are counted, not those of the local bases' reductions.
     sd = barycentric_subdivision(by_name("cone_hexagon"))
+    bases = sum(len(keep.basis) for i, j in ((0, 0), (1, 0), (0, 1))
+                for _, keep in _allowed_cells(sd, i, j, 0))
+    prisms = len({id(t) for _, keep in _allowed_cells(sd, 0, 1, 0) for t in keep})
     calls = 0
     add_column = ColumnReduction.add_column
+    compiled = Counter()
+    boundary = lghomology.cell_boundary
 
     def counted(self, col):
         nonlocal calls
         calls += sys._getframe(1).f_code.co_name == "lg_ranks"
         return add_column(self, col)
+
+    def counted_boundary(cell):
+        compiled[_base_dim(cell), cell[0]] += 1
+        return boundary(cell)
 
     monkeypatch.setattr(ColumnReduction, "add_column", counted)
     vanishing = lg_ranks(sd, 1, 0)
@@ -357,11 +433,13 @@ def test_boundary_columns_stop_once_they_span_the_cycles(monkeypatch):
     assert vanishing.cells == {"(1,0)": 180, "(2,0)": 108, "(1,1)": 9396}
     assert 0 < calls <= vanishing.cells["(1,0)"] + vanishing.cells["(2,0)"]
     calls = 0
+    monkeypatch.setattr(lghomology, "cell_boundary", counted_boundary)
     nonzero = lg_ranks(sd, 0, 0)
     assert nonzero.rank == 1
     assert nonzero.cells == {"(0,0)": 132, "(1,0)": 180, "(0,1)": 1632}
-    assert calls == sum(len(keep.basis) for i, j in ((0, 0), (1, 0), (0, 1))
-                        for _, keep in _allowed_cells(sd, i, j, 0)) == 588
+    assert (nonzero.cycles, nonzero.boundaries) == (132, 131)
+    assert 0 < calls < bases == 588
+    assert 0 < compiled[0, 1] < prisms
 
 
 def test_prisms_past_the_exit_are_counted_but_never_compiled(monkeypatch):
