@@ -30,8 +30,9 @@ from .stratsimplex import dd_check, iter_shapes
 
 __all__ = ["main"]
 
-# Largest arguments of the subcommands whose cost grows exponentially; the
+# Largest arguments of the subcommands whose cost grows steeply with them; the
 # largest allowed call of each takes under a minute (see README).
+MAX_WORD_LEN = 10000
 MAX_ICCHECK_LEN = 32
 MAX_FIBRANK_DIM = 13
 MAX_FIT_DIM = 13
@@ -49,10 +50,11 @@ def _load_json(path: str):
 
 def _check_limit(option: str, value: int, limit: int) -> None:
     if value > limit:
-        raise ValueError(f"{option} {value} is above the limit {limit}: the work grows exponentially")
+        raise ValueError(f"{option} {value} is above the limit {limit}: larger calls take too long")
 
 
 def _cmd_word(args) -> dict:
+    _check_limit("--word length", len(args.word), MAX_WORD_LEN)
     return {"h": list(eval_word(args.word))}
 
 
@@ -139,7 +141,9 @@ _IN = ("--in", {"dest": "infile", "required": True})
 
 # name -> (handler, help, arguments); each argument is (flag, add_argument options)
 _COMMANDS = {
-    "word": (_cmd_word, "h-vector of a word over {I, C}", [("--word", {"required": True})]),
+    "word": (_cmd_word, "h-vector of a word over {I, C}", [
+        ("--word", {"required": True, "help": f"at most {MAX_WORD_LEN} letters"}),
+    ]),
     "iccheck": (_cmd_iccheck, "verify the IC-equation on all short words", [
         ("--max-len", {"type": int, "required": True, "help": f"at most {MAX_ICCHECK_LEN}"}),
     ]),
@@ -201,14 +205,15 @@ def main(argv=None) -> int:
         # problems into the validation-error status
         return 0 if exc.code == 0 else 1
     try:
-        doc = args.handler(args)
+        # serialising can raise ValueError (an integer past the interpreter's
+        # digit limit) and writing OSError, so both are handled like the work
+        sys.stdout.write(json.dumps(args.handler(args), sort_keys=True) + "\n")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:
         traceback.print_exc()
         return 2
-    sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
     return 0
 
 

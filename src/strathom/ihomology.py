@@ -27,6 +27,9 @@ supported on allowable rows up to s, whose boundary is zero; so the
 boundary of s is a combination of the degree-i columns before it, which
 are fed in the same basis order.  Its column would reduce to zero, and
 skipping it leaves every pivot, hence both ranks, unchanged.
+
+A simplex of degree i is the stratified simplex of shape (i,), and its
+boundary signs are that shape's, `stratsimplex.facets`.
 """
 from __future__ import annotations
 
@@ -37,6 +40,7 @@ from .complexes import StratifiedComplex, perversity_ok
 # not called here; perfbench/tracing.py still looks this name up on this module
 from .complexes import allowable_simplex  # noqa: F401
 from .exactla import ColumnReduction
+from .stratsimplex import facets
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,7 @@ def ih_ranks(k: StratifiedComplex) -> BettiReport:
             rows.setdefault(f, len(rows))
         red, below = ColumnReduction(), bytearray(n_allowed)
         # face q of combinations(simplex, i) drops vertex i - q
-        signs = [(-1) ** (i - q) for q in range(i + 1)]
+        signs = [sign for _, _, sign in reversed(facets((i,)))]
         for simplex, skip in zip(spaces[i].basis, cleared):
             if skip:
                 continue

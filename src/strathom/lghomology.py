@@ -93,7 +93,7 @@ from operator import itemgetter
 from .complexes import StratifiedComplex, perversity_ok
 from .errors import ValidationError
 from .exactla import ColumnReduction
-from .stratsimplex import StratifiedShape, facets
+from .stratsimplex import facets
 
 __all__ = [
     "LgReport",
@@ -191,15 +191,15 @@ def _facet_plan(i, j):
     w = i + 2
     positions = range((j + 1) * w)
     plan = []
-    for ref in facets(StratifiedShape((i, j))):
-        if ref.factor == 1:
+    for factor, local, sign in facets((i, j)):
+        if factor == 1:
             # a vertex of simplex(j): drop that cone map
-            keep = [q for q in positions if q // w != ref.local]
-            plan.append((ref.sign, j - 1, itemgetter(*keep)))
+            keep = [q for q in positions if q // w != local]
+            plan.append((sign, j - 1, itemgetter(*keep)))
         else:
             # a base corner: drop that column from every cone map
-            keep = [q for q in positions if q % w != ref.local + 1]
-            plan.append((ref.sign, j, itemgetter(*keep)))
+            keep = [q for q in positions if q % w != local + 1]
+            plan.append((sign, j, itemgetter(*keep)))
     return tuple(plan)
 
 
@@ -263,15 +263,13 @@ def _label_verdict(labels, j, m, p, w1):
     labels passes the perversity part and has its apex stratum w_1 at
     least w1."""
     width = len(labels) // (j + 1)
-    # with no label <= m - 2 no point of the cell lies in a singular stratum
-    if min(labels) <= m - 2:
-        for cuts, extra in _map_sets(width - 2, j):
-            if extra:
-                depth = sorted(map(max, *[labels[cut] for cut in cuts]))
-            else:
-                depth = sorted(labels[cuts[0]])
-            if not perversity_ok(depth, width - 2 + j, m, p, extra):
-                return False
+    for cuts, extra in _map_sets(width - 2, j):
+        if extra:
+            depth = sorted(map(max, *[labels[cut] for cut in cuts]))
+        else:
+            depth = sorted(labels[cuts[0]])
+        if not perversity_ok(depth, width - 2 + j, m, p, extra):
+            return False
     return max(labels[::width]) >= w1
 
 

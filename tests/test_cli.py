@@ -198,6 +198,7 @@ def test_validation_failures_exit_one_with_message(capsys, tmp_path, argv):
     (["fit", "--dim", "14", "--predict", "QUERY"], "ic_training_data"),
     (["shapes", "--dd-check", "--max-total-dim", "15"], "iter_shapes"),
     (["flag", "--in", "THIN17"], "flag_vector"),
+    (["word", "--word", "I" * (cli.MAX_WORD_LEN + 1)], "eval_word"),
 ])
 def test_exponential_subcommands_refuse_arguments_above_their_limit(
         capsys, monkeypatch, tmp_path, argv, work):
@@ -211,6 +212,31 @@ def test_exponential_subcommands_refuse_arguments_above_their_limit(
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "above the limit" in err
     assert err.count("\n") == 1
+
+
+class _FailingStdout:
+    def write(self, text):
+        raise OSError(5, "Input/output error")
+
+
+def test_output_errors_exit_one_with_one_line(capsys, monkeypatch):
+    # the work succeeds, then serialising or writing its document fails
+    if hasattr(sys, "set_int_max_str_digits"):
+        # the default limit, whatever PYTHONINTMAXSTRDIGITS says
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "eval_word", lambda word: (10 ** 4300,))
+                code, out, err = run(capsys, ["word", "--word", "I"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "4300" in err and err.count("\n") == 1
+    monkeypatch.setattr(sys, "stdout", _FailingStdout())
+    code, out, err = run(capsys, ["word", "--word", "III"])
+    assert code == 1 and out == ""
+    assert err == "error: [Errno 5] Input/output error\n"
 
 
 EDGE = {"dim": 1, "vertices": ["a", "b"], "strata": {"a": 1, "b": 1},
