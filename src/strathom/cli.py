@@ -63,8 +63,8 @@ def _cmd_iccheck(args) -> dict:
     of distinct h-vectors per length.
 
     eval_word(Xw) = rule_X(eval_word(w)), so level n is exactly the set of
-    eval_word values over the words of length n.  ic_check reads only h,
-    so each level's verdict is the verdict over its words.
+    eval_word values over the words of length n.  ic_check's verdict
+    reads only h, so a level's verdict is the verdict over its words.
     """
     if args.max_len < 1:
         raise ValueError("--max-len must be at least 1")
@@ -73,7 +73,7 @@ def _cmd_iccheck(args) -> dict:
     all_hold = True
     for _ in range(args.max_len):
         level = {rule(h) for h in level for rule in (rule_I, rule_C)}
-        all_hold = all_hold and all(ic_check(h).holds for h in level)
+        all_hold = all_hold and all(map(ic_check, level))
     return {"max_len": args.max_len, "words": 2 ** (args.max_len + 1) - 2, "all_hold": all_hold}
 
 

@@ -323,11 +323,9 @@ def complex_from_json(doc) -> StratifiedComplex:
         isinstance(f, list) and all(isinstance(v, str) for v in f) for f in maximal
     ):
         raise ValidationError("'maximal_simplices' must be a list of lists of vertex names")
-    m_guess = max((len(set(f)) for f in maximal), default=0) - 1
-    perversity = Perversity.from_json(doc.get("perversity", "middle"), m_guess)
-    k = StratifiedComplex(strata, maximal, perversity)
-    if k.dim != doc["dim"]:
-        raise ValidationError(
-            f"declared dim {doc['dim']} does not match computed dimension {k.dim}"
-        )
-    return k
+    # the dimension the constructor computes, so the perversity is read against it
+    m = max((len(set(f)) for f in maximal), default=0) - 1
+    if m != doc["dim"]:
+        raise ValidationError(f"declared dim {doc['dim']} does not match computed dimension {m}")
+    perversity = Perversity.from_json(doc.get("perversity", "middle"), m)
+    return StratifiedComplex(strata, maximal, perversity)

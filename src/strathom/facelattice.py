@@ -219,7 +219,10 @@ class FlagVector:
             raise ValidationError("flag vector 'entries' must map subsets to counts")
         spelled = {}  # the sorted spelling of each subset -> its key in entries
         for key, v in entries.items():
-            members = sorted(int(p) for p in key.split(",") if p != "")
+            try:
+                members = sorted(int(p) for p in key.split(",") if p != "")
+            except ValueError:
+                raise ValidationError(f"flag entry {key!r} is not a list of integers") from None
             if any(not 0 <= j < n for j in members):
                 raise ValidationError(f"flag entry {key!r} is outside 0..{n - 1}")
             if len(set(members)) != len(members):

@@ -356,9 +356,11 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
     Z is the kernel of the full boundary on allowed (i,0) cells.  B is
     assembled from allowed (i+1,0) and (i,1) cells: a combination qualifies
     when its boundary components off the allowed (i,0) cells cancel, and B
-    is what it leaves on them.  Rows of allowed (i,0) cells come first, so
-    a reduced column with its pivot among them has no stray part, and the
-    count of such pivots is dim B of the columns fed so far.
+    is what it leaves on them.  Rows of allowed (i,0) cells come first, in
+    enumeration order; each stray cell takes the next row when a column
+    first meets it.  So a reduced column with its pivot among the allowed
+    rows has no stray part, and the count of such pivots is dim B of the
+    columns fed so far.
 
     B lies in Z: once the stray parts cancel, what a combination leaves is
     its whole boundary, a cycle because the boundary squares to zero.
@@ -366,15 +368,9 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
     feeding stops once it reaches dim Z; the cells left are only counted,
     a simplex at a time, and their boundaries are never compiled.
 
-    At i = 0 feeding stops one short, at dim Z - 1 when Z is not zero.  A
-    (0,0) cell has an empty boundary, so Z is spanned by every allowed
-    (0,0) cell.  The (0,0) part of the boundary of a (1,0) or (0,1) cell is
-    +x - y for two distinct (0,0) cells x and y, so the coefficients of
-    every column sum to zero over the (0,0) cells.  Once the stray rows
-    cancel, what a combination leaves on the allowed (0,0) cells still
-    sums to zero, so B lies in the kernel of the sum of coefficients on
-    Z, which has dimension dim Z - 1.  Reaching it, B is that kernel, and
-    the cells left are only counted.
+    At i = 0 feeding stops one short, at dim Z - 1 when Z is not zero:
+    by the augmentation (see the module docstring) B lies in a subspace of
+    Z of that dimension, and reaching it, B is that subspace.
 
     Every allowed cell is counted and every allowed (i,0) cell is a row,
     but a simplex feeds both reductions only the local basis of its kept
@@ -406,7 +402,6 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
 
     # the most B can reach, by the augmentation at i = 0
     full = cycles - 1 if i == 0 and cycles else cycles
-    stray = {}
     bred = ColumnReduction()
     boundaries = 0
     counts = [n_allowed]
@@ -419,14 +414,8 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
             for t in keep.basis:
                 if boundaries == full:
                     break
-                col = {}
-                for cj, cpick, coef in t.terms:
-                    child = cj, cpick(simplex)
-                    r = pos.get(child)
-                    if r is None:
-                        r = n_allowed + stray.setdefault(child, len(stray))
-                    col[r] = coef
-                low = bred.add_column(col)
+                low = bred.add_column({pos.setdefault((cj, cpick(simplex)), len(pos)): coef
+                                       for cj, cpick, coef in t.terms})
                 if low is not None and low < n_allowed:
                     boundaries += 1
         counts.append(n)

@@ -16,7 +16,7 @@ from strathom.cli import main
 from strathom.complexes import complex_to_json
 from strathom.corpus import by_name
 from strathom.facelattice import flag_vector, lattice_from_json
-from strathom.hcalc import IcReport, eval_word
+from strathom.hcalc import eval_word
 
 
 def run(capsys, argv):
@@ -61,7 +61,7 @@ def test_iccheck_checks_the_h_vectors_of_exactly_the_words_of_each_length(capsys
 
         def record(h):
             seen.setdefault(len(h) - 1, set()).add(h)
-            return IcReport(h, (), ())
+            return True
 
         monkeypatch.setattr(cli, "ic_check", record)
         code, out, err = run(capsys, ["iccheck", "--max-len", str(max_len)])
@@ -75,7 +75,7 @@ def test_iccheck_fails_when_the_check_fails_on_one_word(capsys, monkeypatch):
     real, broken = cli.ic_check, eval_word("CICIICCII")
 
     def check(h):
-        return IcReport(h, h, ()) if h == broken else real(h)
+        return h != broken and real(h)
 
     monkeypatch.setattr(cli, "ic_check", check)
     for max_len, holds in ((8, "true"), (9, "false"), (12, "false")):
@@ -411,6 +411,17 @@ def test_string_dim_is_reported_as_such(capsys, tmp_path):
     path = write_json(tmp_path, "edge.json", {**EDGE, "dim": "1"})
     code, _, err = run(capsys, ["ih", "--in", path])
     assert code == 1 and "'dim' must be an integer" in err
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("fit", {"dim": 1, "entries": {"": 1, "x": 2}}, "flag entry 'x' is not a list of integers"),
+    ("ih", {"dim": 2, "vertices": ["a"], "strata": {"a": 1}, "maximal_simplices": [["a"]],
+            "perversity": {"2": 0}}, "declared dim 2 does not match computed dimension 0"),
+], ids=["flag-entry-not-integer", "complex-dim-before-perversity"])
+def test_malformed_documents_name_their_fault(capsys, tmp_path, command, doc, message):
+    path = write_json(tmp_path, "bad.json", doc)
+    argv = ["fit", "--dim", "1", "--predict", path] if command == "fit" else [command, "--in", path]
+    assert run(capsys, argv) == (1, "", f"error: {message}\n")
 
 
 def test_well_formed_base_documents_pass(capsys, tmp_path):

@@ -16,6 +16,7 @@ from oracles import (
     simplicial_lattice,
     toric_h,
 )
+from strathom import hcalc
 from strathom.errors import DomainError
 from strathom.facelattice import (
     FlagVector,
@@ -92,14 +93,29 @@ def test_ic_check_holds_on_all_short_words():
     words = [w for n in range(1, 7) for w in ic_words(n)]
     assert len(words) == 126
     for word in words:
-        report = ic_check(eval_word(word))
-        assert report.holds, (word, report.lhs, report.rhs)
+        assert ic_check(eval_word(word)), word
 
 
-def test_ic_check_report_fields():
-    report = ic_check((1, 1))
-    assert report.source == (1, 1)
-    assert report.lhs == report.rhs
+def test_ic_check_fails_under_a_rule_C_that_breaks_the_identity(monkeypatch):
+    # both sides of the identity are linear in h on palindromes of one length and
+    # it holds on a basis of them, so no valid input can tell ic_check from a
+    # check that always holds; a rule C that keeps palindromes but adds 1 to the
+    # middle entries of its output breaks the identity, and ic_check must say so
+    real_C = hcalc.rule_C
+
+    def shifted_C(h):
+        out = list(real_C(h))
+        for q in {(len(out) - 1) // 2, len(out) // 2}:
+            out[q] += 1
+        return tuple(out)
+
+    vectors = ((1,), (1, 1), (1, 2, 1), (1, 3, 3, 1))
+    assert [ic_check(h) for h in vectors] == [True] * 4
+    for h in ((1, 2), ()):
+        with pytest.raises(DomainError):
+            ic_check(h)
+    monkeypatch.setattr(hcalc, "rule_C", shifted_C)
+    assert [ic_check(h) for h in vectors] == [False] * 4
 
 
 def test_fit_predicts_octahedron_h_vector():
@@ -209,7 +225,7 @@ def test_eval_word_is_symmetric_and_positive(word):
 @settings(deadline=None, max_examples=40)
 @given(st.text(alphabet="IC", min_size=1, max_size=7))
 def test_ic_check_holds_generically(word):
-    assert ic_check(eval_word(word)).holds
+    assert ic_check(eval_word(word))
 
 
 @pytest.mark.parametrize("index", range(8))
