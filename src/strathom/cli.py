@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 
 from .complexes import complex_from_json
 from .errors import DomainError
@@ -212,6 +211,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:
+        import traceback  # here, so that start-up does not load it
         traceback.print_exc()
         return 2
     return 0

@@ -26,21 +26,19 @@ most m-c and the test is exact integer arithmetic.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, combinations, permutations
 
 from .errors import ValidationError, is_int
 
 
-@dataclass(frozen=True)
-class Perversity:
+class Perversity(namedtuple("Perversity", "values label")):
     """Values p(2), ..., p(m) subject to p(2) = 0 and unit growth."""
 
-    values: tuple[int, ...]
-    label: str = "explicit"
+    __slots__ = ()
 
-    def __post_init__(self):
-        vals = tuple(self.values)
+    def __new__(cls, values, label="explicit"):
+        vals = tuple(values)
         if vals:
             if vals[0] != 0:
                 raise ValidationError(f"perversity must start at p(2) = 0, got {vals[0]}")
@@ -49,7 +47,7 @@ class Perversity:
                     raise ValidationError(
                         f"perversity must grow by 0 or 1: p({k})={a}, p({k + 1})={b}"
                     )
-        object.__setattr__(self, "values", vals)
+        return super().__new__(cls, vals, label)
 
     @staticmethod
     def middle(m: int) -> "Perversity":

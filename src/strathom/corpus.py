@@ -9,17 +9,13 @@ for coning is labeled 2 even though it is a 1-complex).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .complexes import StratifiedComplex, cone, suspension
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    closed: bool
-    description: str
-    build: object
+class CorpusEntry(namedtuple("CorpusEntry", "name closed description build")):
+    __slots__ = ()
 
     def __call__(self) -> StratifiedComplex:
         return self.build()

@@ -14,7 +14,6 @@ then from a heap of its rows.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import filterfalse
 from math import gcd, lcm
@@ -123,6 +122,7 @@ def _integral(row) -> list[int]:
     """A positive multiple of a row of rationals with integer entries."""
     if all(type(v) is int for v in row):
         return list(row)
+    from fractions import Fraction  # here, so importing the CLI does not load fractions
     row = [Fraction(v) for v in row]
     m = lcm(*(v.denominator for v in row))
     return [int(v * m) for v in row]
@@ -164,6 +164,7 @@ def solve_right(a_rows, b_rows):
         pivots.append(c)
     if any(any(row[ncols:]) for row in rows[len(pivots):]):
         return None
+    from fractions import Fraction
     solutions = []
     for j in range(ncols, ncols + k):
         x = [Fraction(0)] * ncols

@@ -20,8 +20,7 @@ are the reference it is tested against.
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import chain, product
 
 from .errors import DomainError, ValidationError, is_int
@@ -87,14 +86,14 @@ class FaceLattice:
                 raise ValidationError(f"face {i!r} has no lower cover")
             if dims[k] < n and not up[k]:
                 raise ValidationError(f"face {i!r} has no upper cover")
-        # Diamond property: every length-2 interval has exactly two middles.
-        counts = Counter(chain.from_iterable(map(product, down, up)))
-        for (a, c), cnt in counts.items():
-            if cnt != 2:
-                raise ValidationError(
-                    f"diamond property fails between {ids[a]!r} and {ids[c]!r}: "
-                    f"{cnt} middle faces instead of 2"
-                )
+        # Diamond property: every length-2 interval has exactly two middles,
+        # so the faces two levels below a face, sorted, come in pairs of
+        # equal faces, and no two pairs are equal.
+        for c_down in down:
+            g = sorted(chain.from_iterable(map(down.__getitem__, c_down)))
+            pairs = g[::2]
+            if pairs != g[1::2] or len(set(pairs)) != len(pairs):
+                raise _diamond_error(ids, down, up)
         self.ids = ids
         self.dims = dims
         self.dim = n
@@ -106,6 +105,15 @@ class FaceLattice:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+def _diamond_error(ids, down, up) -> ValidationError:
+    """The error for the first interval, met through its middles in id
+    order, that does not have exactly two middles."""
+    counts = Counter(chain.from_iterable(map(product, down, up)))
+    a, c = next(key for key, cnt in counts.items() if cnt != 2)
+    return ValidationError(f"diamond property fails between {ids[a]!r} and {ids[c]!r}: "
+                           f"{counts[a, c]} middle faces instead of 2")
 
 
 def _relabel(raw_faces: dict, raw_covers: set) -> FaceLattice:
@@ -188,13 +196,11 @@ def dual(lattice: FaceLattice) -> FaceLattice:
 # ---------------------------------------------------------------- flags
 
 
-@dataclass(frozen=True)
-class FlagVector:
+class FlagVector(namedtuple("FlagVector", "dim entries")):
     """Chain counts of proper faces, one entry per subset of {0..dim-1}:
     entries[mask] counts the chains whose dimensions have bitmask mask."""
 
-    dim: int
-    entries: tuple
+    __slots__ = ()
 
     def dual(self) -> "FlagVector":
         """The flag vector of the dual polytope: dimension d is read as

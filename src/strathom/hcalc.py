@@ -8,8 +8,6 @@ training pairs by one integer column reduction.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DomainError
 from .exactla import ColumnReduction, _integral
 from .facelattice import FlagVector, ic_extensions, parse_word
@@ -110,6 +108,7 @@ def fit_and_predict(training, query: FlagVector):
     if pivot > w:
         raise DomainError("prediction not determined")
     col = span.pivot_column(pivot)
+    from fractions import Fraction  # here, so importing the CLI does not load fractions
     return tuple(Fraction(-col.get(k, 0), col[0]) for k in range(1, w + 1))
 
 

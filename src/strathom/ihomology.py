@@ -33,7 +33,7 @@ boundary signs are that shape's, `stratsimplex.facets`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .complexes import StratifiedComplex, perversity_ok
@@ -43,25 +43,22 @@ from .exactla import ColumnReduction
 from .stratsimplex import facets
 
 
-@dataclass(frozen=True)
-class ChainSpace:
+class ChainSpace(namedtuple("ChainSpace", "basis")):
     """Basis of allowable simplices in one degree, sorted vertex-number tuples."""
 
-    basis: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BettiReport:
+class BettiReport(namedtuple("BettiReport", "ranks cycles boundaries")):
     """Per-degree intersection homology data of one complex."""
 
-    ranks: tuple[int, ...]
-    cycles: tuple[int, ...]
-    boundaries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for b in self.ranks:
+    def __new__(cls, ranks, cycles, boundaries):
+        for b in ranks:
             if b < 0:
-                raise AssertionError(f"negative rank in {self.ranks}")
+                raise AssertionError(f"negative rank in {ranks}")
+        return super().__new__(cls, ranks, cycles, boundaries)
 
 
 def chain_spaces(k: StratifiedComplex) -> list[ChainSpace]:

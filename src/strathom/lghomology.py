@@ -86,7 +86,7 @@ the cell counts count every allowed cell.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property
 from operator import itemgetter
 
@@ -104,12 +104,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LgReport:
-    rank: int
-    cells: dict
-    cycles: int
-    boundaries: int
+class LgReport(namedtuple("LgReport", "rank cells cycles boundaries")):
+    __slots__ = ()
 
 
 def _sizes(k: StratifiedComplex, i: int, j: int) -> range:

@@ -239,6 +239,16 @@ def test_output_errors_exit_one_with_one_line(capsys, monkeypatch):
     assert err == "error: [Errno 5] Input/output error\n"
 
 
+def test_internal_errors_exit_two_with_a_traceback(capsys, monkeypatch):
+    def fail(word):
+        raise RuntimeError("internal failure")
+    monkeypatch.setattr(cli, "eval_word", fail)
+    code, out, err = run(capsys, ["word", "--word", "I"])
+    assert code == 2 and out == ""
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("RuntimeError: internal failure\n")
+
+
 EDGE = {"dim": 1, "vertices": ["a", "b"], "strata": {"a": 1, "b": 1},
         "maximal_simplices": [["a", "b"]]}
 TRIANGLE = {"dim": 2, "vertices": ["a", "b", "c"], "strata": {"a": 2, "b": 2, "c": 2},
@@ -405,6 +415,20 @@ def test_tracer_finds_every_name_it_wraps():
             "import tracing; tracing.install(tracing.Tracer())")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_cli_loads_no_heavy_modules():
+    # every CLI call is a fresh interpreter, so whatever importing the CLI
+    # loads is paid on every call; these modules are needed on no fast path
+    root = Path(strathom.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    code = ("import sys; bare = set(sys.modules); import strathom.cli; "
+            "print(*sorted(set(sys.modules) - bare))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "strathom.cli" in added
+    assert not added & {"dataclasses", "inspect", "fractions", "decimal", "traceback"}
 
 
 def test_string_dim_is_reported_as_such(capsys, tmp_path):

@@ -45,6 +45,19 @@ def test_perversity_growth_constraints():
         Perversity((0, 1, 0))
 
 
+def test_perversity_is_an_immutable_value():
+    p = Perversity([0, 1])
+    assert p.values == (0, 1) and p.label == "explicit"
+    assert p == Perversity((0, 1)) and hash(p) == hash(Perversity((0, 1)))
+    assert p != Perversity((0, 0)) and p != Perversity((0, 1), "other")
+    assert Perversity.middle(4) == Perversity((0, 0, 1), "middle")
+    assert repr(p) == "Perversity(values=(0, 1), label='explicit')"
+    with pytest.raises(AttributeError):
+        p.values = (0,)
+    with pytest.raises(AttributeError):
+        p.extra = 0
+
+
 def test_perversity_call_range():
     p = Perversity((0, 1))
     assert p(2) == 0 and p(3) == 1

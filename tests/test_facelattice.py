@@ -145,6 +145,36 @@ def test_diamond_failure_names_the_first_interval_met():
     assert str(info.value) == "diamond property fails between 'e' and 'x': 3 middle faces instead of 2"
 
 
+# four edges on the same two vertices a and b: every interval below an edge has
+# two middles, but (a, t) and (b, t) have four each, so the faces two levels
+# below t come in equal pairs (a, a, a, a, b, b, b, b) and only their count fails
+FOUR_MIDDLES = {"e": -1, "a": 0, "b": 0, "w": 1, "x": 1, "y": 1, "z": 1, "t": 2}
+FOUR_MIDDLES_COVERS = [("e", "a"), ("e", "b")] + [(v, f) for f in "wxyz" for v in "ab"] + [
+    (f, "t") for f in "wxyz"]
+# a triangle x, y, z with a pendant edge p from x to u, all under one top t:
+# (u, t) has one middle and (x, t) three, so t has an even number of faces two
+# levels below; the first interval is met through p, whose lower covers are
+# read in document order
+ONE_AND_THREE = {"e": -1, "u": 0, "x": 0, "y": 0, "z": 0, "p": 1, "q": 1, "r": 1, "s": 1, "t": 2}
+ONE_AND_THREE_COVERS = [("e", v) for v in "uxyz"] + [
+    ("x", "q"), ("y", "q"), ("x", "r"), ("z", "r"), ("y", "s"), ("z", "s")] + [
+    (f, "t") for f in "pqrs"]
+
+
+@pytest.mark.parametrize("faces, covers, interval, middles", [
+    (FOUR_MIDDLES, FOUR_MIDDLES_COVERS, ("a", "t"), 4),
+    (ONE_AND_THREE, [("u", "p"), ("x", "p")] + ONE_AND_THREE_COVERS, ("u", "t"), 1),
+    (ONE_AND_THREE, [("x", "p"), ("u", "p")] + ONE_AND_THREE_COVERS, ("x", "t"), 3),
+], ids=["four-middles", "one-then-three", "three-then-one"])
+def test_diamond_failure_names_intervals_of_four_one_or_three_middles(
+        faces, covers, interval, middles):
+    with pytest.raises(ValidationError) as info:
+        FaceLattice(faces, covers)
+    lo, hi = interval
+    assert str(info.value) == (f"diamond property fails between {lo!r} and {hi!r}: "
+                               f"{middles} middle faces instead of 2")
+
+
 def test_square_flag_vector():
     fv = flag_vector(from_word("II"))
     assert fv.entries[0b00] == 1
@@ -165,6 +195,18 @@ def test_cube_flag_vector():
     want = {(): 1, (0,): 8, (1,): 12, (2,): 6,
             (0, 1): 24, (0, 2): 24, (1, 2): 24, (0, 1, 2): 48}
     assert by_subset(fv) == want
+
+
+def test_flag_vector_is_an_immutable_value():
+    fv = flag_vector(from_word("II"))
+    assert fv == FlagVector(2, (1, 4, 4, 8)) and fv is not flag_vector(from_word("II"))
+    assert hash(fv) == hash(FlagVector(2, (1, 4, 4, 8)))
+    assert fv != FlagVector(2, (1, 4, 4, 9)) and fv != FlagVector(3, fv.entries)
+    assert repr(fv) == "FlagVector(dim=2, entries=(1, 4, 4, 8))"
+    with pytest.raises(AttributeError):
+        fv.dim = 3
+    with pytest.raises(AttributeError):
+        fv.extra = 0
 
 
 def test_dual_is_an_involution_and_swaps_cube_octahedron():

@@ -495,6 +495,19 @@ def test_each_simplex_feeds_a_basis_of_its_allowed_boundaries():
                         assert len(keep.basis) == ranks[key], (entry.name, key, named)
 
 
+def test_lg_report_is_an_immutable_value():
+    ch = by_name("cone_hexagon")
+    report = lg_ranks(ch, 0, 0)
+    assert report == lg_ranks(ch, 0, 0) and report is not lg_ranks(ch, 0, 0)
+    assert report != lg_ranks(ch, 0, 1) and report != lg_ranks(ch, 1, 0)
+    assert repr(report) == (f"LgReport(rank=1, cells={report.cells!r}, "
+                            f"cycles={report.cycles}, boundaries={report.boundaries})")
+    with pytest.raises(AttributeError):
+        report.rank = 2
+    with pytest.raises(AttributeError):
+        report.extra = 0
+
+
 def test_lg_ranks_validation_and_empty_complex():
     ch = by_name("cone_hexagon")
     empty = StratifiedComplex({}, [])
