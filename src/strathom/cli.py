@@ -47,7 +47,9 @@ def _load_json(path: str):
             raise ValueError(f"{path} is nested too deeply to read as JSON") from None
 
 
-def _check_limit(option: str, value: int, limit: int) -> None:
+def _check_limit(option: str, value: int, limit: int, least: int | None = None) -> None:
+    if least is not None and value < least:
+        raise ValueError(f"{option} must be at least {least}")
     if value > limit:
         raise ValueError(f"{option} {value} is above the limit {limit}: larger calls take too long")
 
@@ -65,9 +67,7 @@ def _cmd_iccheck(args) -> dict:
     eval_word values over the words of length n.  ic_check's verdict
     reads only h, so a level's verdict is the verdict over its words.
     """
-    if args.max_len < 1:
-        raise ValueError("--max-len must be at least 1")
-    _check_limit("--max-len", args.max_len, MAX_ICCHECK_LEN)
+    _check_limit("--max-len", args.max_len, MAX_ICCHECK_LEN, least=1)
     level = {(1,)}
     all_hold = True
     for _ in range(args.max_len):
@@ -83,14 +83,14 @@ def _cmd_flag(args) -> dict:
 
 
 def _cmd_fibrank(args) -> dict:
-    _check_limit("--dim", args.dim, MAX_FIBRANK_DIM)
+    _check_limit("--dim", args.dim, MAX_FIBRANK_DIM, least=1)
     rank = ic_flag_rank(args.dim)
     target = fibonacci(args.dim + 1)
     return {"rank": rank, "fibonacci": target, "match": rank == target}
 
 
 def _cmd_fit(args) -> dict:
-    _check_limit("--dim", args.dim, MAX_FIT_DIM)
+    _check_limit("--dim", args.dim, MAX_FIT_DIM, least=1)
     doc = _load_json(args.predict)
     # the query may arrive as a face lattice or directly as a flag vector
     if isinstance(doc, dict) and "faces" in doc:

@@ -89,14 +89,21 @@ class Perversity(namedtuple("Perversity", "values label")):
         if not isinstance(doc, dict):
             raise ValidationError("perversity must be \"middle\" or a codim->value map")
         try:
-            entries = {int(c): v for c, v in doc.items()}
+            codims = [int(key) for key in doc]
         except (TypeError, ValueError) as exc:
             raise ValidationError("perversity map needs integer codims and values") from exc
-        if not all(is_int(v) for v in entries.values()):
+        spelled = {}  # codim -> its key in doc
+        for c, key in zip(codims, doc):
+            if c in spelled:
+                raise ValidationError(
+                    f"perversity entries {spelled[c]!r} and {key!r} name the same codimension")
+            spelled[c] = key
+        if not all(is_int(v) for v in doc.values()):
             raise ValidationError("perversity map needs integer codims and values")
-        if sorted(entries) != list(range(2, m + 1)):
-            raise ValidationError(f"perversity map must cover codimensions 2..{m}")
-        return Perversity(tuple(entries[c] for c in range(2, m + 1)))
+        if sorted(spelled) != list(range(2, m + 1)):
+            raise ValidationError(f"perversity map must cover codimensions 2..{m}" if m > 1 else
+                                  f"perversity map must be empty for a complex of dimension {m}")
+        return Perversity(tuple(doc[spelled[c]] for c in range(2, m + 1)))
 
 
 class StratifiedComplex:

@@ -1,16 +1,24 @@
 """Exact linear algebra over the rationals.
 
 Rank decisions in this package are never made in floating point.  Every
-rank, of a sparse boundary matrix or of a dense integer matrix, and the
-flag-vector prediction with its consistency and span tests, goes through
-one integer column reduction.  dense_rank and solve_right (integer
-Gauss-Jordan elimination, Fractions only in the solutions) have no package
-caller; they stay for the tests and for the lookups of perfbench/tracing.py.
+rank, of a sparse boundary matrix or of a dense integer matrix, every
+solve and the flag-vector prediction with its consistency and span tests
+go through one integer column reduction.  dense_rank and solve_right have
+no package caller; they stay for the tests and for the lookups of
+perfbench/tracing.py.
 
 One engine serves short and long columns: an elimination step
 a*col - b*piv keeps a > 0, so no step flips a column's sign, and the
 lowest row comes from max() until a column passes _HEAP_AFTER entries,
 then from a heap of its rows.
+
+Solving reads tag rows, which lie below the equation rows.  A pivot is
+the largest nonzero row, so scaling an equation to integers moves none,
+and a column fed keeps a pivot among the equations exactly when its
+equation part is independent of the columns fed before it.  A column
+whose pivot lands on a tag row has a zero equation part, so its tag part
+records a relation among the columns fed: read as a solution in
+solve_right, as a prediction in hcalc.fit_and_predict.
 """
 from __future__ import annotations
 
@@ -112,12 +120,6 @@ def dense_rank(rows) -> int:
     return reduction.rank
 
 
-def _primitive(row: list[int]) -> list[int]:
-    """Divide a dense integer row by the gcd of its entries."""
-    g = gcd(*row)
-    return row if g < 2 else [v // g for v in row]
-
-
 def _integral(row) -> list[int]:
     """A positive multiple of a row of rationals with integer entries."""
     if all(type(v) is int for v in row):
@@ -136,39 +138,30 @@ def solve_right(a_rows, b_rows):
     variables zero) as lists of Fractions, or None if any of the k
     systems is inconsistent.
 
-    Gauss-Jordan elimination runs on integer rows: scaling a row leaves
-    its equation unchanged, so each row is kept primitive and the
-    solution is read off as a quotient of two integers per pivot.
+    Rows 0..ncols-1 tag the columns of A, rows ncols..ncols+k-1 tag the
+    right-hand sides, and the equations lie above both.  Column c of A is
+    fed first, in order, as [e_c | 0 | A_c], so only the leftmost
+    independent columns keep equation pivots and enter a solution.  Then
+    b_j is fed as [0 | e_j | b_j]: a pivot among the equations means no x
+    solves it; otherwise the stored column is lambda * [-x | e_j | 0].
     """
     if len(a_rows) != len(b_rows):
         raise ValueError("A and B must have the same number of rows")
     ncols = len(a_rows[0]) if a_rows else 0
     k = len(b_rows[0]) if b_rows else 0
+    top = ncols + k
     rows = [_integral([*ra, *rb]) for ra, rb in zip(a_rows, b_rows)]
-    pivots: list[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i, row in enumerate(rows):
-            if i != r and row[c]:
-                g = gcd(p, row[c])
-                a, b = p // g, row[c] // g
-                rows[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
-        pivots.append(c)
-    if any(any(row[ncols:]) for row in rows[len(pivots):]):
+    span = ColumnReduction()
+    pivots = []
+    for c in range(top):
+        col = {top + i: row[c] for i, row in enumerate(rows)}
+        col[c] = 1
+        pivots.append(span.add_column(col))
+    if any(pivot >= top for pivot in pivots[ncols:]):
         return None
-    from fractions import Fraction
+    from fractions import Fraction  # here, so importing the CLI does not load fractions
     solutions = []
-    for j in range(ncols, ncols + k):
-        x = [Fraction(0)] * ncols
-        for row, c in zip(rows, pivots):
-            x[c] = Fraction(row[j], row[c])
-        solutions.append(x)
+    for j, pivot in enumerate(pivots[ncols:], start=ncols):
+        col = span.pivot_column(pivot)
+        solutions.append([Fraction(-col.get(c, 0), col[j]) for c in range(ncols)])
     return solutions

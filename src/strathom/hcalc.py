@@ -69,19 +69,15 @@ def fit_and_predict(training, query: FlagVector):
     assigns to query, defined when query = sum c_j flag_j lies in the
     span of the training flag vectors: by linearity it is sum c_j h_j.
 
-    One integer ColumnReduction decides it all.  Row 0 is a tag row,
-    rows 1..w hold h and the flag entries lie above; a pivot is the
-    largest nonzero row, which scaling to integers does not move.  Each
-    pair is fed as [0 | h | flag], and one that reduces to zero is
-    dropped.  A pivot at a row <= w leaves zero flag part and nonzero h
-    part: a flag relation the h-vectors break, so no linear function
-    fits.  Otherwise every stored pivot is above w and 0 on the tag row.
-
-    The query is fed as [1 | 0 | query].  Reduction only multiplies its
-    tag entry by nonzero factors and subtracts columns that are 0 there,
-    so the column never vanishes.  A pivot above w puts query off the
-    span.  Otherwise the stored column is lambda * [1 | -prediction | 0]
-    with lambda != 0; a pivot on row 0 means the prediction is 0.
+    One integer ColumnReduction decides it all, by the tag-row method of
+    the exactla docstring.  Row 0 tags the query, rows 1..w hold h and
+    the flag entries lie above.  Each pair is fed as [0 | h | flag]; one
+    that reduces to zero is dropped, and a pivot at a row <= w is a flag
+    relation the h-vectors break, so no linear function fits.  The query
+    is fed as [1 | 0 | query]; every stored column is 0 on row 0, so it
+    never vanishes.  A pivot above w puts query off the span.  Otherwise
+    the stored column is lambda * [1 | -prediction | 0] with lambda != 0;
+    a pivot on row 0 means the prediction is 0.
 
     The pairs are read once, in order, so they may come from a generator;
     each is checked against the first pair's dimension and h-length.

@@ -182,6 +182,8 @@ def test_identical_invocations_are_byte_identical(capsys, tmp_path):
     ["shapes", "--dd-check", "--max-total-dim", "-3"],
     ["lg", "--in", "EDGE", "--dim-seq", "1_0,0", "--w", "0"],
     ["lg", "--in", "EDGE", "--dim-seq", "x,0", "--w", "0"],
+    ["fibrank", "--dim", "0"],
+    ["fit", "--dim", "-5", "--predict", "EDGE"],
 ])
 def test_validation_failures_exit_one_with_message(capsys, tmp_path, argv):
     # a valid complex, so only the arguments can be at fault
@@ -212,6 +214,21 @@ def test_exponential_subcommands_refuse_arguments_above_their_limit(
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "above the limit" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["fibrank", "--dim", "0"],
+    ["fit", "--dim", "-5", "--predict", "QUERY"],
+], ids=["fibrank", "fit"])
+def test_dim_below_one_is_refused_before_any_work(capsys, monkeypatch, tmp_path, argv):
+    def refuse(*args):
+        raise AssertionError("no work may start below --dim 1")
+
+    for work in ("_load_json", "ic_flag_rank", "ic_training_data"):
+        monkeypatch.setattr(cli, work, refuse)
+    query = write_json(tmp_path, "q.json", thin_lattice_doc(2))
+    argv = [query if a == "QUERY" else a for a in argv]
+    assert run(capsys, argv) == (1, "", "error: --dim must be at least 1\n")
 
 
 class _FailingStdout:
@@ -441,7 +458,17 @@ def test_string_dim_is_reported_as_such(capsys, tmp_path):
     ("fit", {"dim": 1, "entries": {"": 1, "x": 2}}, "flag entry 'x' is not a list of integers"),
     ("ih", {"dim": 2, "vertices": ["a"], "strata": {"a": 1}, "maximal_simplices": [["a"]],
             "perversity": {"2": 0}}, "declared dim 2 does not match computed dimension 0"),
-], ids=["flag-entry-not-integer", "complex-dim-before-perversity"])
+    # the cone over a tetrahedron's boundary: '3' and '03' are one codimension, and
+    # taking either value would change its cycles
+    ("ih", {"dim": 3, "vertices": ["a", "b", "c", "d", "x"],
+            "strata": {"a": 3, "b": 3, "c": 3, "d": 3, "x": 0},
+            "maximal_simplices": [[*f, "x"] for f in ("abc", "abd", "acd", "bcd")],
+            "perversity": {"2": 0, "3": 0, "03": 1}},
+     "perversity entries '3' and '03' name the same codimension"),
+    ("ih", {**EDGE, "perversity": {"2": 0}},
+     "perversity map must be empty for a complex of dimension 1"),
+], ids=["flag-entry-not-integer", "complex-dim-before-perversity", "perversity-codim-twice",
+        "perversity-map-in-dimension-one"])
 def test_malformed_documents_name_their_fault(capsys, tmp_path, command, doc, message):
     path = write_json(tmp_path, "bad.json", doc)
     argv = ["fit", "--dim", "1", "--predict", path] if command == "fit" else [command, "--in", path]
