@@ -10,6 +10,7 @@ stderr), 2 for internal failures.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -203,6 +204,11 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage problems and 0 on --help; fold usage
         # problems into the validation-error status
         return 0 if exc.code == 0 else 1
+    # the work frees what it builds by reference count, so the cyclic collector
+    # would only rescan live objects; it is paused for the work, and on the way
+    # out a young collection frees the few cycles the pause held back (argparse's)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         # serialising can raise ValueError (an integer past the interpreter's
         # digit limit) and writing OSError, so both are handled like the work
@@ -214,6 +220,10 @@ def main(argv=None) -> int:
         import traceback  # here, so that start-up does not load it
         traceback.print_exc()
         return 2
+    finally:
+        if collecting:
+            gc.enable()
+            gc.collect(0)
     return 0
 
 

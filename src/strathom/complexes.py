@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, filterfalse, permutations, repeat
 
 from .errors import ValidationError, is_int
 
@@ -88,12 +88,13 @@ class Perversity(namedtuple("Perversity", "values label")):
             return Perversity.middle(m)
         if not isinstance(doc, dict):
             raise ValidationError("perversity must be \"middle\" or a codim->value map")
-        try:
-            codims = [int(key) for key in doc]
-        except (TypeError, ValueError) as exc:
-            raise ValidationError("perversity map needs integer codims and values") from exc
         spelled = {}  # codim -> its key in doc
-        for c, key in zip(codims, doc):
+        for key in doc:
+            # only ASCII digits: int() alone would take " 3 ", "1_0" and non-ASCII digits
+            if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+                raise ValidationError(
+                    f"perversity codimension {key!r} must be written in ASCII digits")
+            c = int(key)
             if c in spelled:
                 raise ValidationError(
                     f"perversity entries {spelled[c]!r} and {key!r} name the same codimension")
@@ -117,8 +118,12 @@ class StratifiedComplex:
     `vertices` holds the names in sorted order and `labels[v]` the label
     of vertex number v.  Every simplex is held as the sorted tuple of its
     vertex numbers, once: the sorted per-degree buckets of
-    `simplices_of_dim`, filled by size while the faces are generated, are
-    the one store of simplices.  `maximal` shares their tuple objects, and
+    `simplices_of_dim` are the one store of simplices.  They are filled
+    from the largest size down.  The s-subsets of the maximal facets found
+    so far make up the bucket of size s, in one pass, and a given facet of
+    size s is maximal exactly when it is not among them; it then joins the
+    bucket.  Bucket 0 is every vertex number, since every vertex lies in a
+    given facet.  `maximal` shares the buckets' tuple objects, and
     `simplices` is a view derived from them.
     """
 
@@ -132,7 +137,7 @@ class StratifiedComplex:
             if not is_int(s) or s < 0:
                 raise ValidationError(f"stratum label of {v!r} must be an integer >= 0")
         try:
-            facets = [set(f) for f in maximal_simplices]
+            facets = list(map(set, maximal_simplices))
         except TypeError as exc:
             raise ValidationError("maximal simplices must be collections of vertex names") from exc
         # checked before any sort, so a member that is no vertex name cannot reach one
@@ -144,23 +149,32 @@ class StratifiedComplex:
             )
         self.vertices = tuple(sorted(strata))
         number = {v: n for n, v in enumerate(self.vertices)}
-        facets = {tuple(sorted(map(number.__getitem__, f))) for f in facets if f}
-        # largest first: every strictly larger facet has already put its
-        # faces in the bucket of f's size, so f is maximal exactly when it is not there yet
-        maximal = []
-        by_size = [set() for _ in range(max(map(len, facets), default=0) + 1)]
-        for f in sorted(facets, key=len, reverse=True):
-            if f in by_size[len(f)]:
-                continue
-            maximal.append(f)
-            by_size[len(f)].add(f)
-            for size in range(1, len(f)):
-                by_size[size].update(combinations(f, size))
+        facets = {tuple(sorted(map(number.__getitem__, f))) for f in facets}
+        given = [[] for _ in range(max(map(len, facets), default=0) + 1)]
+        for f in facets:
+            given[len(f)].append(f)
+        # largest size first: the s-subsets of the maximal facets larger than s
+        # fill the bucket of size s in one pass, and a given facet of size s is
+        # maximal exactly when it is not among them
+        maximal, buckets = [], []
+        for s in range(len(given) - 1, 1, -1):
+            faces = set(chain.from_iterable(map(combinations, maximal, repeat(s))))
+            fresh = list(filterfalse(faces.__contains__, given[s]))
+            faces.update(fresh)
+            maximal += fresh
+            buckets.append(tuple(sorted(faces)))
+        if len(given) > 1:
+            # every vertex lies in a given facet, so the bucket of size 1 is every
+            # vertex number (the int objects the facets share); a vertex is
+            # maximal when no larger maximal facet holds it
+            points = tuple(zip(number.values()))
+            held = set(chain.from_iterable(maximal))
+            maximal += [points[v] for v in range(len(points)) if v not in held]
+            buckets.append(points)
         self.strata = strata
         self.labels = labels = tuple(map(strata.__getitem__, self.vertices))
         self.maximal = tuple(sorted(maximal))
-        # each size's set is dropped as soon as its bucket is sorted
-        self._by_dim = tuple(tuple(sorted(by_size.pop(1))) for _ in range(len(by_size) - 1))
+        self._by_dim = tuple(reversed(buckets))
         self.dim = m = len(self._by_dim) - 1
         # a face of X_t (t < m) above dimension t exists exactly when some
         # facet's sorted labels have l_q < m and q > l_q: its first q + 1
@@ -316,7 +330,7 @@ def complex_from_json(doc) -> StratifiedComplex:
     if not is_int(doc["dim"]):
         raise ValidationError(f"'dim' must be an integer, got {doc['dim']!r}")
     vertices = doc["vertices"]
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+    if not isinstance(vertices, list) or not all(map(isinstance, vertices, repeat(str))):
         raise ValidationError("'vertices' must be a list of vertex names")
     strata = doc["strata"]
     if not isinstance(strata, dict):
@@ -324,12 +338,11 @@ def complex_from_json(doc) -> StratifiedComplex:
     if sorted(strata) != sorted(vertices):
         raise ValidationError("'vertices' and 'strata' must name the same vertices")
     maximal = doc["maximal_simplices"]
-    if not isinstance(maximal, list) or not all(
-        isinstance(f, list) and all(isinstance(v, str) for v in f) for f in maximal
-    ):
+    if not (isinstance(maximal, list) and all(map(isinstance, maximal, repeat(list)))
+            and all(map(isinstance, chain.from_iterable(maximal), repeat(str)))):
         raise ValidationError("'maximal_simplices' must be a list of lists of vertex names")
     # the dimension the constructor computes, so the perversity is read against it
-    m = max((len(set(f)) for f in maximal), default=0) - 1
+    m = max(map(len, map(set, maximal)), default=0) - 1
     if m != doc["dim"]:
         raise ValidationError(f"declared dim {doc['dim']} does not match computed dimension {m}")
     perversity = Perversity.from_json(doc.get("perversity", "middle"), m)

@@ -225,10 +225,11 @@ class FlagVector(namedtuple("FlagVector", "dim entries")):
             raise ValidationError("flag vector 'entries' must map subsets to counts")
         spelled = {}  # the sorted spelling of each subset -> its key in entries
         for key, v in entries.items():
-            try:
-                members = sorted(int(p) for p in key.split(",") if p != "")
-            except ValueError:
-                raise ValidationError(f"flag entry {key!r} is not a list of integers") from None
+            parts = [p for p in key.split(",") if p != ""]
+            # only ASCII digits: int() alone would take " 1", "1_0" and non-ASCII digits
+            if not all(p.isascii() and p.isdigit() for p in parts):
+                raise ValidationError(f"flag entry {key!r} is not a list of integers")
+            members = sorted(map(int, parts))
             if any(not 0 <= j < n for j in members):
                 raise ValidationError(f"flag entry {key!r} is outside 0..{n - 1}")
             if len(set(members)) != len(members):

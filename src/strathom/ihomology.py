@@ -34,7 +34,7 @@ boundary signs are that shape's, `stratsimplex.facets`.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations
+from itertools import combinations, compress, count, filterfalse, repeat
 
 from .complexes import StratifiedComplex, perversity_ok
 # not called here; perfbench/tracing.py still looks this name up on this module
@@ -91,24 +91,23 @@ def ih_ranks(k: StratifiedComplex) -> BettiReport:
     spaces = chain_spaces(k)
     rank_nd = [0] * (m + 1)
     boundaries = [0] * (m + 1)
-    # cleared[j]: the j-th allowable i-simplex's column is known to reduce to zero
-    cleared = bytearray(len(spaces[m].basis))
+    # keep[j]: the j-th allowable i-simplex's column is not known to reduce to zero
+    keep = bytearray(b"\1") * len(spaces[m].basis)
     for i in range(m, 0, -1):
         n_allowed = len(spaces[i - 1].basis)
-        rows = {f: j for j, f in enumerate(spaces[i - 1].basis)}
-        for f in k.simplices_of_dim(i - 1):
-            rows.setdefault(f, len(rows))
-        red, below = ColumnReduction(), bytearray(n_allowed)
+        rows = dict(zip(spaces[i - 1].basis, count()))
+        rows.update(zip(filterfalse(rows.__contains__, k.simplices_of_dim(i - 1)),
+                        count(n_allowed)))
+        red, keep_below = ColumnReduction(), bytearray(b"\1") * n_allowed
         # face q of combinations(simplex, i) drops vertex i - q
         signs = [sign for _, _, sign in reversed(facets((i,)))]
-        for simplex, skip in zip(spaces[i].basis, cleared):
-            if skip:
-                continue
-            low = red.add_column(dict(zip(map(rows.__getitem__, combinations(simplex, i)), signs)))
+        faces = map(combinations, compress(spaces[i].basis, keep), repeat(i))
+        for column in map(dict, map(zip, map(map, repeat(rows.__getitem__), faces), repeat(signs))):
+            low = red.add_column(column)
             if low is not None and low < n_allowed:
-                below[low] = 1
-        rank_nd[i], boundaries[i - 1] = red.rank, below.count(1)
-        cleared = below
+                keep_below[low] = 0
+        rank_nd[i], boundaries[i - 1] = red.rank, keep_below.count(0)
+        keep = keep_below
         del red, rows
     cycles = [len(space.basis) - r for space, r in zip(spaces, rank_nd)]
     ranks = [z - b for z, b in zip(cycles, boundaries)]

@@ -1,4 +1,5 @@
 """End-to-end CLI behavior: exact JSON bytes, exit codes, determinism."""
+import gc
 import json
 import os
 import random
@@ -266,6 +267,30 @@ def test_internal_errors_exit_two_with_a_traceback(capsys, monkeypatch):
     assert err.endswith("RuntimeError: internal failure\n")
 
 
+@pytest.mark.parametrize("outcome, code", [
+    ((1, 1), 0), (ValueError("bad word"), 1), (RuntimeError("internal failure"), 2),
+], ids=["exit-0", "exit-1", "exit-2"])
+def test_the_cyclic_collector_is_paused_for_the_work_only(capsys, monkeypatch, outcome, code):
+    seen = []
+
+    def record(word):
+        seen.append(gc.isenabled())
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+    monkeypatch.setattr(cli, "eval_word", record)
+    assert gc.isenabled()
+    assert run(capsys, ["word", "--word", "I"])[0] == code
+    assert seen == [False] and gc.isenabled()
+    # a caller that turned the collector off finds it still off
+    gc.disable()
+    try:
+        assert run(capsys, ["word", "--word", "I"])[0] == code
+        assert seen == [False, False] and not gc.isenabled()
+    finally:
+        gc.enable()
+
+
 EDGE = {"dim": 1, "vertices": ["a", "b"], "strata": {"a": 1, "b": 1},
         "maximal_simplices": [["a", "b"]]}
 TRIANGLE = {"dim": 2, "vertices": ["a", "b", "c"], "strata": {"a": 2, "b": 2, "c": 2},
@@ -454,20 +479,35 @@ def test_string_dim_is_reported_as_such(capsys, tmp_path):
     assert code == 1 and "'dim' must be an integer" in err
 
 
+# the cone over a tetrahedron's boundary, whose cycles depend on p(3)
+CONE_TETRA = {"dim": 3, "vertices": ["a", "b", "c", "d", "x"],
+              "strata": {"a": 3, "b": 3, "c": 3, "d": 3, "x": 0},
+              "maximal_simplices": [[*f, "x"] for f in ("abc", "abd", "acd", "bcd")]}
+
+
 @pytest.mark.parametrize("command, doc, message", [
     ("fit", {"dim": 1, "entries": {"": 1, "x": 2}}, "flag entry 'x' is not a list of integers"),
+    # int() would read these as the subset {0}
+    ("fit", {"dim": 1, "entries": {"": 1, "\u0660": 2}},
+     "flag entry '\u0660' is not a list of integers"),
+    ("fit", {"dim": 1, "entries": {"": 1, " 0": 2}}, "flag entry ' 0' is not a list of integers"),
     ("ih", {"dim": 2, "vertices": ["a"], "strata": {"a": 1}, "maximal_simplices": [["a"]],
             "perversity": {"2": 0}}, "declared dim 2 does not match computed dimension 0"),
-    # the cone over a tetrahedron's boundary: '3' and '03' are one codimension, and
-    # taking either value would change its cycles
-    ("ih", {"dim": 3, "vertices": ["a", "b", "c", "d", "x"],
-            "strata": {"a": 3, "b": 3, "c": 3, "d": 3, "x": 0},
-            "maximal_simplices": [[*f, "x"] for f in ("abc", "abd", "acd", "bcd")],
-            "perversity": {"2": 0, "3": 0, "03": 1}},
+    # '3' and '03' are one codimension, and taking either value would change the cycles
+    ("ih", {**CONE_TETRA, "perversity": {"2": 0, "3": 0, "03": 1}},
      "perversity entries '3' and '03' name the same codimension"),
+    # int() would read the first two as codimension 3 and the third as codimension 10
+    ("ih", {**CONE_TETRA, "perversity": {"2": 0, "\u0663": 1}},
+     "perversity codimension '\u0663' must be written in ASCII digits"),
+    ("ih", {**CONE_TETRA, "perversity": {"2": 0, " 3 ": 1}},
+     "perversity codimension ' 3 ' must be written in ASCII digits"),
+    ("ih", {**CONE_TETRA, "perversity": {"2": 0, "1_0": 1}},
+     "perversity codimension '1_0' must be written in ASCII digits"),
     ("ih", {**EDGE, "perversity": {"2": 0}},
      "perversity map must be empty for a complex of dimension 1"),
-], ids=["flag-entry-not-integer", "complex-dim-before-perversity", "perversity-codim-twice",
+], ids=["flag-entry-not-integer", "flag-entry-arabic-indic-zero", "flag-entry-spaced",
+        "complex-dim-before-perversity", "perversity-codim-twice",
+        "perversity-codim-arabic-indic", "perversity-codim-spaced", "perversity-codim-underscore",
         "perversity-map-in-dimension-one"])
 def test_malformed_documents_name_their_fault(capsys, tmp_path, command, doc, message):
     path = write_json(tmp_path, "bad.json", doc)

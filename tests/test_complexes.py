@@ -2,7 +2,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from strathom.complexes import (
     Perversity,
@@ -79,6 +79,8 @@ def test_perversity_json():
     assert Perversity.middle(3).to_json() == "middle"
     assert Perversity.from_json("middle", 4).values == (0, 0, 1)
     assert Perversity.from_json({"2": 0, "3": 1}, 3).values == (0, 1)
+    # a leading zero still names the codimension
+    assert Perversity.from_json({"2": 0, "03": 1}, 3).values == (0, 1)
     assert Perversity((0, 1)).to_json() == {"2": 0, "3": 1}
     with pytest.raises(ValidationError, match="cover"):
         Perversity.from_json({"2": 0}, 3)
@@ -141,6 +143,16 @@ def _families(draw):
 
 @settings(deadline=None, max_examples=200)
 @given(_families())
+# an isolated vertex beside a triangle, which also lists one of its vertices
+@example([["e"], ["a", "b", "c"], ["c"]])
+# an input edge that is a face of an input triangle
+@example([["a", "b"], ["c", "b", "a"]])
+# a repeated facet, once in another order
+@example([["a", "b", "c"], ["c", "a", "b"], ["a", "b", "c"]])
+# a maximal edge beside a tetrahedron, whose edges no maximal triangle holds
+@example([["a", "b", "c", "d"], ["d", "e"]])
+# the empty complex
+@example([])
 def test_construction_matches_brute_force(family):
     sets = {frozenset(f) for f in family} - {frozenset()}
     strata = {v: 9 for f in sets for v in f}
