@@ -10,7 +10,10 @@ perfbench/tracing.py.
 One engine serves short and long columns: an elimination step
 a*col - b*piv keeps a > 0, so no step flips a column's sign, and the
 lowest row comes from max() until a column passes _HEAP_AFTER entries,
-then from a heap of its rows.
+then from a heap of its rows.  Both paths stay: with max() alone ih_ranks
+on sd^3(susp_torus7), whose longest column has 97,444 entries, took
+233-248 s against 6.3-7.1 s, and with the heap alone calls made of short
+columns (ih, lg, fibrank) ran 17-56% slower.
 
 Solving reads tag rows, which lie below the equation rows.  A pivot is
 the largest nonzero row, so scaling an equation to integers moves none,

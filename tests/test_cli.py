@@ -11,13 +11,13 @@ from pathlib import Path
 import pytest
 
 import strathom
-from oracles import OCTA_FACETS, ic_words, simplicial_lattice
-from strathom import cli, facelattice
+from oracles import OCTA_FACETS, dense_rank, ic_words, simplicial_lattice
+from strathom import cli, facelattice, hcalc
 from strathom.cli import main
 from strathom.complexes import complex_to_json
 from strathom.corpus import by_name
 from strathom.facelattice import flag_vector, lattice_from_json
-from strathom.hcalc import eval_word
+from strathom.hcalc import eval_word, rule_C, rule_I
 
 
 def run(capsys, argv):
@@ -55,35 +55,59 @@ def test_iccheck(capsys):
     assert out == '{"all_hold": true, "max_len": 4, "words": 30}\n'
 
 
-def test_iccheck_checks_the_h_vectors_of_exactly_the_words_of_each_length(capsys, monkeypatch):
-    want = {n: {eval_word(w) for w in ic_words(n)} for n in range(1, 13)}
-    for max_len in range(1, 13):
-        seen = {}
+def test_iccheck_checks_a_basis_of_the_h_vectors_of_each_length(capsys, monkeypatch):
+    seen = {}
 
-        def record(h):
-            seen.setdefault(len(h) - 1, set()).add(h)
-            return True
+    def record(h):
+        seen.setdefault(len(h) - 1, []).append(h)
+        return True
 
-        monkeypatch.setattr(cli, "ic_check", record)
-        code, out, err = run(capsys, ["iccheck", "--max-len", str(max_len)])
-        assert code == 0 and err == ""
-        words = 2 ** (max_len + 1) - 2
-        assert out == f'{{"all_hold": true, "max_len": {max_len}, "words": {words}}}\n'
-        assert seen == {n: want[n] for n in range(1, max_len + 1)}
+    monkeypatch.setattr(cli, "ic_check", record)
+    code, out, err = run(capsys, ["iccheck", "--max-len", "18"])
+    assert (code, err) == (0, "")
+    assert out == '{"all_hold": true, "max_len": 18, "words": 524286}\n'
+    assert sorted(seen) == list(range(1, 19))
+    level = {(1,)}
+    for n in range(1, 19):
+        # eval_word(Xw) = rule_X(eval_word(w)), so level n is the set of h-vectors
+        # of the words of length n; the words themselves are checked up to n = 10
+        level = {rule(h) for h in level for rule in (rule_I, rule_C)}
+        if n <= 10:
+            assert level == {eval_word(w) for w in ic_words(n)}
+        kept = seen[n]
+        assert set(kept) <= level
+        # ceil((n+1)/2) is the dimension of the palindromes of length n + 1
+        assert dense_rank(kept) == len(kept) == dense_rank(level) == (n + 2) // 2
 
 
-def test_iccheck_fails_when_the_check_fails_on_one_word(capsys, monkeypatch):
-    real, broken = cli.ic_check, eval_word("CICIICCII")
+def test_iccheck_prints_false_under_a_linear_rule_C_that_breaks_the_identity(
+        capsys, monkeypatch):
+    # ic_check holds on a level exactly when it holds on a basis of its span only
+    # while the rules are linear, so the wrong rule C here is linear too; it breaks
+    # the identity at the words CC and CI but not at II or IC, so a walk that checks
+    # only some of the images of a level can miss it.  It goes into cli for the walk
+    # and into hcalc for ic_check and eval_word: with the real ic_check, which holds
+    # on every palindrome, the verdict could not change.
+    real_C = hcalc.rule_C
 
-    def check(h):
-        return h != broken and real(h)
+    def wrong_C(h):
+        out = list(real_C(h))
+        if len(h) == 4:
+            out[2] += h[1] - 2 * h[0]
+        return tuple(out)
 
-    monkeypatch.setattr(cli, "ic_check", check)
-    for max_len, holds in ((8, "true"), (9, "false"), (12, "false")):
+    for module in (cli, hcalc):
+        monkeypatch.setattr(module, "rule_C", wrong_C)
+    assert [w for w in ic_words(2) if not hcalc.ic_check(eval_word(w))] == ["CC", "CI"]
+    for max_len in range(1, 7):
+        holds = all(hcalc.ic_check(eval_word(w)) for n in range(1, max_len + 1)
+                    for w in ic_words(n))
+        assert holds == (max_len == 1)
         code, out, err = run(capsys, ["iccheck", "--max-len", str(max_len)])
         words = 2 ** (max_len + 1) - 2
         assert (code, err) == (0, "")
-        assert out == f'{{"all_hold": {holds}, "max_len": {max_len}, "words": {words}}}\n'
+        assert out == (f'{{"all_hold": {json.dumps(holds)}, "max_len": {max_len}, '
+                       f'"words": {words}}}\n')
 
 
 def test_fibrank(capsys):
@@ -196,7 +220,7 @@ def test_validation_failures_exit_one_with_message(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv, work", [
-    (["iccheck", "--max-len", "33"], "ic_check"),
+    (["iccheck", "--max-len", str(cli.MAX_ICCHECK_LEN + 1)], "ic_check"),
     (["fibrank", "--dim", "14"], "ic_flag_rank"),
     (["fit", "--dim", "14", "--predict", "QUERY"], "ic_training_data"),
     (["shapes", "--dd-check", "--max-total-dim", "15"], "iter_shapes"),
