@@ -139,9 +139,7 @@ def _cmd_lg(args) -> dict:
 def _cmd_shapes(args) -> dict:
     if not args.dd_check:
         raise ValueError("shapes requires --dd-check")
-    if args.max_total_dim < 0:
-        raise ValueError(f"--max-total-dim must be >= 0, got {args.max_total_dim}")
-    _check_limit("--max-total-dim", args.max_total_dim, MAX_SHAPES_TOTAL_DIM)
+    _check_limit("--max-total-dim", args.max_total_dim, MAX_SHAPES_TOTAL_DIM, least=0)
     all_zero = all(dd_check(shape) for shape in iter_shapes(args.max_total_dim))
     return {"all_zero": all_zero}
 

@@ -122,9 +122,8 @@ class StratifiedComplex:
     from the largest size down.  The s-subsets of the maximal facets found
     so far make up the bucket of size s, in one pass, and a given facet of
     size s is maximal exactly when it is not among them; it then joins the
-    bucket.  Bucket 0 is every vertex number, since every vertex lies in a
-    given facet.  `maximal` shares the buckets' tuple objects, and
-    `simplices` is a view derived from them.
+    bucket.  `maximal` shares the buckets' tuple objects, and `simplices`
+    is a view derived from them.
     """
 
     __slots__ = ("vertices", "strata", "labels", "maximal", "dim", "perversity", "_by_dim")
@@ -157,20 +156,12 @@ class StratifiedComplex:
         # fill the bucket of size s in one pass, and a given facet of size s is
         # maximal exactly when it is not among them
         maximal, buckets = [], []
-        for s in range(len(given) - 1, 1, -1):
+        for s in range(len(given) - 1, 0, -1):
             faces = set(chain.from_iterable(map(combinations, maximal, repeat(s))))
             fresh = list(filterfalse(faces.__contains__, given[s]))
             faces.update(fresh)
             maximal += fresh
             buckets.append(tuple(sorted(faces)))
-        if len(given) > 1:
-            # every vertex lies in a given facet, so the bucket of size 1 is every
-            # vertex number (the int objects the facets share); a vertex is
-            # maximal when no larger maximal facet holds it
-            points = tuple(zip(number.values()))
-            held = set(chain.from_iterable(maximal))
-            maximal += [points[v] for v in range(len(points)) if v not in held]
-            buckets.append(points)
         self.strata = strata
         self.labels = labels = tuple(map(strata.__getitem__, self.vertices))
         self.maximal = tuple(sorted(maximal))
@@ -260,37 +251,29 @@ def perversity_ok(depth, degree: int, m: int, p: Perversity, extra: int = 0) -> 
     return True
 
 
-def _fresh_names(taken, stems):
-    out = []
-    taken = set(taken)
+def _join(k: StratifiedComplex, stems) -> StratifiedComplex:
+    """Join one fresh apex per stem, labeled 0, to every simplex (not to each other)."""
+    strata = dict(k.strata)
+    apexes = []
     for stem in stems:
-        name = stem
-        k = 0
-        while name in taken:
-            name = f"{stem}{k}"
-            k += 1
-        taken.add(name)
-        out.append(name)
-    return out
+        name, n = stem, 0
+        while name in strata:
+            name, n = f"{stem}{n}", n + 1
+        strata[name] = 0
+        apexes.append(name)
+    maximal = [k.names(f) + [apex] for apex in apexes for f in k.maximal]
+    return StratifiedComplex(strata, maximal or [(apex,) for apex in apexes],
+                             k.perversity.resized(k.dim + 1))
 
 
 def cone(k: StratifiedComplex) -> StratifiedComplex:
     """Join a fresh apex vertex, labeled 0, to every simplex; dimension grows by 1."""
-    (name,) = _fresh_names(k.vertices, ["apex"])
-    strata = dict(k.strata)
-    strata[name] = 0
-    maximal = [k.names(f) + [name] for f in k.maximal] or [(name,)]
-    return StratifiedComplex(strata, maximal, k.perversity.resized(k.dim + 1))
+    return _join(k, ["apex"])
 
 
 def suspension(k: StratifiedComplex) -> StratifiedComplex:
     """Join two fresh apexes, labeled 0, to every simplex (not to each other)."""
-    north, south = _fresh_names(k.vertices, ["north", "south"])
-    strata = dict(k.strata)
-    strata[north] = strata[south] = 0
-    maximal = [k.names(f) + [apex] for apex in (north, south) for f in k.maximal]
-    maximal = maximal or [(north,), (south,)]
-    return StratifiedComplex(strata, maximal, k.perversity.resized(k.dim + 1))
+    return _join(k, ["north", "south"])
 
 
 def barycentric_subdivision(k: StratifiedComplex) -> StratifiedComplex:

@@ -13,7 +13,9 @@ lowest row comes from max() until a column passes _HEAP_AFTER entries,
 then from a heap of its rows.  Both paths stay: with max() alone ih_ranks
 on sd^3(susp_torus7), whose longest column has 97,444 entries, took
 233-248 s against 6.3-7.1 s, and with the heap alone calls made of short
-columns (ih, lg, fibrank) ran 17-56% slower.
+columns (ih, lg, fibrank) ran 17-56% slower.  The gcd division of a
+column past _GROWTH_LIMIT is live at the limits: fibrank --dim 13 takes
+it 299 times and fit --dim 13 118 times, though fibrank --dim 12 never.
 
 Solving reads tag rows, which lie below the equation rows.  A pivot is
 the largest nonzero row, so scaling an equation to integers moves none,

@@ -286,6 +286,12 @@ def cell_allowed(k: StratifiedComplex, cell: tuple, w1: int) -> bool:
     return _label_verdict([k.labels[v] for v in images], j, k.dim, k.perversity, w1)
 
 
+def _column(t: _Template, simplex, rows: dict) -> dict:
+    """The boundary of t on simplex as a column {row: coefficient}; a child
+    cell (j, images) that rows does not hold yet takes the next row."""
+    return {rows.setdefault((cj, cpick(simplex)), len(rows)): coef for cj, cpick, coef in t.terms}
+
+
 class _Kept(list):
     """The templates of one template set allowed on one label vector.
 
@@ -304,9 +310,7 @@ class _Kept(list):
     def basis(self):
         reduction = ColumnReduction()
         rows = {}
-        return [t for t in self if reduction.add_column(
-            {rows.setdefault((cj, cpick(self.local)), len(rows)): coef
-             for cj, cpick, coef in t.terms}) is not None]
+        return [t for t in self if reduction.add_column(_column(t, self.local, rows)) is not None]
 
 
 def _allowed_cells(k: StratifiedComplex, i: int, j: int, w1: int):
@@ -391,8 +395,7 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
         for t in keep:
             pos[0, t.pick(simplex)] = len(pos)
         for t in keep.basis:
-            zred.add_column({rows.setdefault((cj, cpick(simplex)), len(rows)): coef
-                             for cj, cpick, coef in t.terms})
+            zred.add_column(_column(t, simplex, rows))
     n_allowed = len(pos)
     cycles = n_allowed - zred.rank
 
@@ -410,8 +413,7 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
             for t in keep.basis:
                 if boundaries == full:
                     break
-                low = bred.add_column({pos.setdefault((cj, cpick(simplex)), len(pos)): coef
-                                       for cj, cpick, coef in t.terms})
+                low = bred.add_column(_column(t, simplex, pos))
                 if low is not None and low < n_allowed:
                     boundaries += 1
         counts.append(n)

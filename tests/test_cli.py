@@ -529,10 +529,22 @@ CONE_TETRA = {"dim": 3, "vertices": ["a", "b", "c", "d", "x"],
      "perversity codimension '1_0' must be written in ASCII digits"),
     ("ih", {**EDGE, "perversity": {"2": 0}},
      "perversity map must be empty for a complex of dimension 1"),
+    ("flag", {"dim": -1, "faces": [{"id": "e", "dim": -1}], "covers": []},
+     "lattice must contain a face of dimension >= 0"),
+    ("flag", {"dim": 0, "faces": [{"id": "e", "dim": -1}, {"id": "f", "dim": -1},
+                                  {"id": "a", "dim": 0}],
+              "covers": [["e", "a"], ["f", "a"]]},
+     "lattice must have exactly one face of dimension -1"),
+    # a segment ab whose vertex b is covered by nothing
+    ("flag", {"dim": 1, "faces": [{"id": "e", "dim": -1}, {"id": "a", "dim": 0},
+                                  {"id": "b", "dim": 0}, {"id": "ab", "dim": 1}],
+              "covers": [["e", "a"], ["e", "b"], ["a", "ab"]]},
+     "face 'b' has no upper cover"),
 ], ids=["flag-entry-not-integer", "flag-entry-arabic-indic-zero", "flag-entry-spaced",
         "complex-dim-before-perversity", "perversity-codim-twice",
         "perversity-codim-arabic-indic", "perversity-codim-spaced", "perversity-codim-underscore",
-        "perversity-map-in-dimension-one"])
+        "perversity-map-in-dimension-one", "lattice-only-the-empty-face",
+        "lattice-two-empty-faces", "lattice-vertex-without-upper-cover"])
 def test_malformed_documents_name_their_fault(capsys, tmp_path, command, doc, message):
     path = write_json(tmp_path, "bad.json", doc)
     argv = ["fit", "--dim", "1", "--predict", path] if command == "fit" else [command, "--in", path]
