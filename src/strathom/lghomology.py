@@ -66,26 +66,42 @@ images carry, so each template is judged once per label vector of a
 simplex, however many simplices carry it, and each tuple of labels that
 templates pick is judged once per enumeration.
 
-Only a local basis of each simplex's columns is reduced.  The kept
-templates of one template set and label vector have their boundaries
-reduced once, in local indices, and a simplex carrying them feeds only
-the templates whose local boundary took a new pivot.  This loses nothing:
-renaming by simplex[q] is injective on the local vertices and linear on
-chains, so a relation among the local boundaries of some templates is the
-same relation among the global boundary columns of their cells on that
-simplex.  Each dropped column is therefore a combination of columns that
-are fed, and dropping it leaves unchanged the column space of the (i,0)
-boundary map, and that of [S; A], the (i+1,0) and (i,1) boundaries split
-into their stray rows S and their rows A on allowed (i,0) cells, together
-with its projection on S.  So the cycles, the allowed (i,0) cells less the
-rank of their boundary map, are unchanged, and so is
-dim B = rank [S; A] - rank S.  Every allowed (i,0) cell stays a row, and
-the cell counts count every allowed cell.
+Only a basis of each simplex's columns relative to its closed simplex is
+fed.  The feed order is fixed: Z reads the (i,0) cells alone, B the
+(i+1,0) cells and then the (i,1) cells; within one shape, simplices by
+size, then in order, then templates in order.  A template on a simplex
+tau is dropped when its boundary lies in the span of the boundaries of
+the allowed cells of the closed simplex tau that come before it in that
+order: for an (i,1) cell, the allowed (i+1,0) cells on every face of tau,
+tau included; the allowed cells of its own shape on the proper faces of
+tau; and tau's own earlier templates.  This loses nothing.  By induction
+on the order, each of those earlier cells is fed or has its boundary in
+the span of columns fed before it, so a dropped column is a combination
+of columns that are fed, and every prefix of the feed spans what all of
+its allowed cells span.  Dropping it therefore leaves unchanged the
+column space of the (i,0) boundary map, and that of [S; A], the (i+1,0)
+and (i,1) boundaries split into their stray rows S and their rows A on
+allowed (i,0) cells, together with its projection on S.  So the cycles,
+the allowed (i,0) cells less the rank of their boundary map, are
+unchanged, and so is dim B = rank [S; A] - rank S, also where
+`lg_ranks` stops feeding early.
+
+The decision is local.  The cells of a closed simplex are those of its
+faces, and renaming by simplex[q] is injective on the local vertices,
+keeps columns sorted and is linear on chains, so a relation among local
+boundaries is the same relation among the global columns.  A face's
+verdicts read only labels its simplex's label vector already holds, so
+each basis is decided once per shape and label vector, in local indices,
+with a face's cells standing in through the basis already decided for
+that face, which spans the same columns by the same induction.  Every
+allowed (i,0) cell stays a row, and the cell counts count every allowed
+cell.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 from functools import cache, cached_property
 from operator import itemgetter
@@ -108,9 +124,16 @@ class LgReport(namedtuple("LgReport", "rank cells cycles boundaries")):
     __slots__ = ()
 
 
+def _least_size(i: int, j: int) -> int:
+    """The fewest vertices a cell of shape (i, j) spans: its i + 1 base
+    columns are distinct, each a vertex when j is 0 and a pair of vertices
+    when j is 1, and its two cone maps differ."""
+    return i + 1 if j == 0 else max(2, math.isqrt(i) + 1)
+
+
 def _sizes(k: StratifiedComplex, i: int, j: int) -> range:
     """Sizes of the simplices of k that support cells of shape (i, j)."""
-    return range(1, min(k.dim + 1, (j + 1) * (i + 2)) + 1)
+    return range(_least_size(i, j), min(k.dim + 1, (j + 1) * (i + 2)) + 1)
 
 
 class _Template:
@@ -292,61 +315,112 @@ def _column(t: _Template, simplex, rows: dict) -> dict:
     return {rows.setdefault((cj, cpick(simplex)), len(rows)): coef for cj, cpick, coef in t.terms}
 
 
-class _Kept(list):
-    """The templates of one template set allowed on one label vector.
+def _faces(labels, sizes) -> list:
+    """(face, its labels) for every face of the given sizes of the local
+    simplex 0..len(labels)-1 carrying labels, a face being the sorted tuple
+    of its local vertices; sizes in the given order, faces of one size in
+    itertools.combinations order."""
+    return [face for s in sizes
+            for face in zip(itertools.combinations(range(len(labels)), s),
+                            itertools.combinations(labels, s))]
 
-    basis is the sublist, in the same order, of the templates whose local
-    boundaries each take a new pivot when reduced one after another, rows
-    being the child cells in local indices 0..size-1.  It is reduced the
-    first time it is read, so a template set and label vector that only
-    ever reach `lg_ranks` past its exit are never reduced.
+
+class _Kept(list):
+    """The templates of one template set allowed on one label vector,
+    labels, read as the labels of the local simplex 0..size-1.  basis is
+    None until `_Table.basis` decides it, and empty when nothing is kept."""
+
+    def __init__(self, templates, labels):
+        super().__init__(templates)
+        self.labels = labels
+        self.basis = None if templates else []
+
+
+class _Table(dict):
+    """The `_Kept` list of shape (i, j) at the apex floor w1 for each label
+    vector of a simplex, made on first lookup.
+
+    A template's verdict reads only the labels it picks, so
+    `_label_verdict` runs once per picked label tuple within one table.
+    Each template's boundary is compiled once, when a basis first reads its
+    terms, so the cells `lg_ranks` only counts past its exit compile
+    nothing.  cones is the table of shape (i + 1, 0) at w1 when j is 1,
+    whose cells come before the (i,1) cells in the B feed, and None when j
+    is 0.  Templates, verdicts and bases are built anew with every table,
+    and a kept list refers to no table, so a table is freed by reference
+    count.
     """
 
-    def __init__(self, templates, size):
-        super().__init__(templates)
-        self.local = range(size)
+    def __init__(self, k: StratifiedComplex, i: int, j: int, w1: int):
+        super().__init__()
+        self.k, self.shape = k, (i, j)
+        self.cones = _Table(k, i + 1, 0, w1) if j else None
+        self.templates = {}
+        m, p, judged = k.dim, k.perversity, {}
 
-    @cached_property
-    def basis(self):
-        reduction = ColumnReduction()
-        rows = {}
-        return [t for t in self if reduction.add_column(_column(t, self.local, rows)) is not None]
+        def allowed(picked):
+            verdict = judged.get(picked)
+            if verdict is None:
+                verdict = judged[picked] = _label_verdict(picked, j, m, p, w1)
+            return verdict
+
+        self.allowed = allowed
+
+    def __missing__(self, labels):
+        size = len(labels)
+        templates = self.templates.get(size)
+        if templates is None:
+            templates = self.templates[size] = _templates(*self.shape, size)
+        allowed = self.allowed
+        keep = self[labels] = _Kept([t for t in templates if allowed(t.pick(labels))], labels)
+        return keep
+
+    def basis(self, keep: _Kept) -> list:
+        """The sublist of keep, in the same order, of the templates whose
+        boundaries each take a new pivot in local indices, reduced after
+        the bases that come before them in the feed order on the closed
+        local simplex: those of cones on every face, the local simplex
+        included, and those of this table on every proper face.
+
+        It is decided on the first call and kept in keep, so a template set
+        and label vector that only ever reach `lg_ranks` past its exit are
+        never reduced.
+        """
+        if keep.basis is None:
+            labels, cones = keep.labels, self.cones
+            size = len(labels)
+            earlier = [(face, self.basis(self[face_labels])) for face, face_labels
+                       in _faces(labels, range(_least_size(*self.shape), size))]
+            if cones is not None:
+                earlier += [(face, cones.basis(cones[face_labels])) for face, face_labels
+                            in _faces(labels, range(_least_size(*cones.shape), size + 1))]
+            reduction = ColumnReduction()
+            rows = {}
+            for face, basis in earlier:
+                for t in basis:
+                    reduction.add_column(_column(t, face, rows))
+            local = range(size)
+            keep.basis = [t for t in keep
+                          if reduction.add_column(_column(t, local, rows)) is not None]
+        return keep.basis
+
+    def cells(self):
+        """(simplex, keep) for every simplex of a size that supports cells
+        of this shape, in `enumerate_cells` order; the cells of that simplex
+        allowed at the apex floor are t.pick(simplex) for t in keep, in that
+        order, and keep is the same `_Kept` list for every simplex carrying
+        the same labels."""
+        k = self.k
+        label = k.labels.__getitem__
+        for s in _sizes(k, *self.shape):
+            for simplex in k.simplices_of_dim(s - 1):
+                yield simplex, self[tuple(map(label, simplex))]
 
 
 def _allowed_cells(k: StratifiedComplex, i: int, j: int, w1: int):
-    """(simplex, keep) for every simplex of a size that supports cells of
-    shape (i, j), in `enumerate_cells` order; the cells of that simplex
-    allowed at the apex floor w1 are t.pick(simplex) for t in keep, in
-    that order.
-
-    The templates kept are decided once per label vector of a simplex, and
-    the same `_Kept` list is yielded for every simplex carrying it; its
-    local basis is the part of it that `lg_ranks` feeds.  A template's
-    verdict reads only the labels it picks, so `_label_verdict` runs once
-    per picked label tuple, within one call.  Each template's boundary is
-    compiled once, when that basis is first reduced and reads its terms,
-    so the cells `lg_ranks` only counts past its exit compile nothing.
-    Templates and verdicts are built anew on every call.
-    """
-    m, p, label = k.dim, k.perversity, k.labels.__getitem__
-    judged = {}
-
-    def allowed(picked):
-        verdict = judged.get(picked)
-        if verdict is None:
-            verdict = judged[picked] = _label_verdict(picked, j, m, p, w1)
-        return verdict
-
-    for s in _sizes(k, i, j):
-        templates = _templates(i, j, s)
-        verdicts = {}
-        for simplex in k.simplices_of_dim(s - 1):
-            labels = tuple(map(label, simplex))
-            keep = verdicts.get(labels)
-            if keep is None:
-                keep = verdicts[labels] = _Kept(
-                    [t for t in templates if allowed(t.pick(labels))], s)
-            yield simplex, keep
+    """The cells of shape (i, j) allowed at the apex floor w1, by simplex:
+    `_Table.cells` of a new table."""
+    return _Table(k, i, j, w1).cells()
 
 
 def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
@@ -373,8 +447,9 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
     Z of that dimension, and reaching it, B is that subspace.
 
     Every allowed cell is counted and every allowed (i,0) cell is a row,
-    but a simplex feeds both reductions only the local basis of its kept
-    templates, which gives the same Z and B (see the module docstring).
+    but a simplex feeds both reductions only the basis of its kept
+    templates relative to its closed simplex, which gives the same Z and B
+    (see the module docstring).
     """
     if w1 < 0:
         raise ValidationError(f"w-sequence entries must be integers >= 0, got {w1!r}")
@@ -391,10 +466,11 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
     rows = {}
     zred = ColumnReduction()
     # rows are keyed by (j, images) of the cells they stand for
-    for simplex, keep in _allowed_cells(k, i, 0, w1):
+    table = _Table(k, i, 0, w1)
+    for simplex, keep in table.cells():
         for t in keep:
             pos[0, t.pick(simplex)] = len(pos)
-        for t in keep.basis:
+        for t in table.basis(keep):
             zred.add_column(_column(t, simplex, rows))
     n_allowed = len(pos)
     cycles = n_allowed - zred.rank
@@ -404,13 +480,14 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
     bred = ColumnReduction()
     boundaries = 0
     counts = [n_allowed]
-    for base_dim, j in ((i + 1, 0), (i, 1)):
+    prisms = _Table(k, i, 1, w1)
+    for table in (prisms.cones, prisms):
         n = 0
-        for simplex, keep in _allowed_cells(k, base_dim, j, w1):
+        for simplex, keep in table.cells():
             n += len(keep)
             if boundaries == full:
                 continue
-            for t in keep.basis:
+            for t in table.basis(keep):
                 if boundaries == full:
                     break
                 low = bred.add_column(_column(t, simplex, pos))

@@ -488,6 +488,29 @@ def _lg_allowed(cell, strata, m, perversity, w1):
     return True
 
 
+def lg_closure_basis(simplex, shape, cells, strata, m, perversity, w1):
+    """The cells, among the given cells of shape (i, j) spanning exactly
+    simplex, whose boundary is independent of the boundaries of the allowed
+    cells of the closed simplex fed before it.
+
+    The cells are taken in the order given.  Fed before a cell are the
+    given cells before it, the allowed cells of its shape on the proper
+    faces of simplex, and when j is 1 the allowed cones of base dimension
+    i + 1 on every face, simplex included.
+    """
+    i, j = shape
+    faces = sorted(_closure([simplex]))
+    proper = [f for f in faces if len(f) < len(simplex)]
+    earlier = (_lg_prism_cells(proper, i) + _lg_cone_cells(faces, i + 1) if j
+               else _lg_cone_cells(proper, i))
+    earlier = [c for c in earlier if _lg_allowed(c, strata, m, perversity, w1)]
+    rows = {}
+    columns = [{rows.setdefault(rep, len(rows)): coef for rep, coef in _lg_boundary(c).items()}
+               for c in earlier + list(cells)]
+    lows = column_pivots(columns)[len(earlier):]
+    return [c for c, low in zip(cells, lows) if low is not None]
+
+
 def naive_lg_rank(strata, maximal, perversity, i, w1):
     """Brute-force rank of the order-one local-global group at (i,0), w=(w1).
 
