@@ -64,7 +64,15 @@ that simplex with its columns still sorted, its boundary signs unchanged
 and its facets still canonical.  Allowability reads only the labels the
 images carry, so each template is judged once per label vector of a
 simplex, however many simplices carry it, and each tuple of labels that
-templates pick is judged once per enumeration.
+templates pick is judged once per shape within one `lg_ranks` call.
+
+A row of a reduction is keyed by the images of its cell alone, since
+within one row map a cell's length fixes its j.  The rows of Z, and of the
+local reductions of the (i,0) cells, are (i-1,0) cells.  Those of B, and
+of the local reductions of the (i+1,0) and (i,1) cells, are (i,0) cells,
+with i + 2 images, and (i-1,1) cells, with 2i + 2, which differ for
+i >= 1; at i = 0 no prism has a base facet, so there are none of the
+latter.
 
 Only a basis of each simplex's columns relative to its closed simplex is
 fed.  The feed order is fixed: Z reads the (i,0) cells alone, B the
@@ -103,7 +111,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from operator import itemgetter
 
 from .complexes import StratifiedComplex, perversity_ok
@@ -141,7 +149,7 @@ class _Template:
 
     cell is the template as a cell (j, images) in local indices, and
     pick(simplex) renames it into a cell of that simplex.  terms
-    lists the template's boundary as (child j, child pick, coefficient) in
+    lists the template's boundary as (child pick, coefficient) in
     `cell_boundary` order, the child's images being child pick(simplex).
     """
 
@@ -151,8 +159,8 @@ class _Template:
 
     @cached_property
     def terms(self):
-        return [(cj, itemgetter(*cimages), coef)
-                for (cj, cimages), coef in cell_boundary(self.cell).items()]
+        return [(itemgetter(*cimages), coef)
+                for (_, cimages), coef in cell_boundary(self.cell).items()]
 
 
 def _templates(i: int, j: int, s: int) -> list:
@@ -311,8 +319,8 @@ def cell_allowed(k: StratifiedComplex, cell: tuple, w1: int) -> bool:
 
 def _column(t: _Template, simplex, rows: dict) -> dict:
     """The boundary of t on simplex as a column {row: coefficient}; a child
-    cell (j, images) that rows does not hold yet takes the next row."""
-    return {rows.setdefault((cj, cpick(simplex)), len(rows)): coef for cj, cpick, coef in t.terms}
+    cell whose images rows does not hold yet takes the next row."""
+    return {rows.setdefault(cpick(simplex), len(rows)): coef for cpick, coef in t.terms}
 
 
 def _faces(labels, sizes) -> list:
@@ -325,29 +333,21 @@ def _faces(labels, sizes) -> list:
                             itertools.combinations(labels, s))]
 
 
-class _Kept(list):
-    """The templates of one template set allowed on one label vector,
-    labels, read as the labels of the local simplex 0..size-1.  basis is
-    None until `_Table.basis` decides it, and empty when nothing is kept."""
-
-    def __init__(self, templates, labels):
-        super().__init__(templates)
-        self.labels = labels
-        self.basis = None if templates else []
-
-
 class _Table(dict):
-    """The `_Kept` list of shape (i, j) at the apex floor w1 for each label
-    vector of a simplex, made on first lookup.
+    """The kept list of shape (i, j) at the apex floor w1 for each label
+    vector of a simplex, made on first lookup: the templates allowed on
+    that label vector, read as the labels of the local simplex 0..size-1.
 
     A template's verdict reads only the labels it picks, so
-    `_label_verdict` runs once per picked label tuple within one table.
-    Each template's boundary is compiled once, when a basis first reads its
+    `_label_verdict` runs once per picked label tuple within one table,
+    and each template set is built once per size.  bases holds the basis
+    of each label vector's kept list, once `basis` has decided it.  Each
+    template's boundary is compiled once, when a basis first reads its
     terms, so the cells `lg_ranks` only counts past its exit compile
     nothing.  cones is the table of shape (i + 1, 0) at w1 when j is 1,
     whose cells come before the (i,1) cells in the B feed, and None when j
     is 0.  Templates, verdicts and bases are built anew with every table,
-    and a kept list refers to no table, so a table is freed by reference
+    and none of them refers to the table, so a table is freed by reference
     count.
     """
 
@@ -355,72 +355,58 @@ class _Table(dict):
         super().__init__()
         self.k, self.shape = k, (i, j)
         self.cones = _Table(k, i + 1, 0, w1) if j else None
-        self.templates = {}
-        m, p, judged = k.dim, k.perversity, {}
-
-        def allowed(picked):
-            verdict = judged.get(picked)
-            if verdict is None:
-                verdict = judged[picked] = _label_verdict(picked, j, m, p, w1)
-            return verdict
-
-        self.allowed = allowed
+        self.templates = cache(partial(_templates, i, j))
+        m, p = k.dim, k.perversity
+        self.allowed = cache(lambda picked: _label_verdict(picked, j, m, p, w1))
+        self.bases = {}
 
     def __missing__(self, labels):
-        size = len(labels)
-        templates = self.templates.get(size)
-        if templates is None:
-            templates = self.templates[size] = _templates(*self.shape, size)
         allowed = self.allowed
-        keep = self[labels] = _Kept([t for t in templates if allowed(t.pick(labels))], labels)
+        keep = self[labels] = [t for t in self.templates(len(labels)) if allowed(t.pick(labels))]
         return keep
 
-    def basis(self, keep: _Kept) -> list:
-        """The sublist of keep, in the same order, of the templates whose
-        boundaries each take a new pivot in local indices, reduced after
-        the bases that come before them in the feed order on the closed
-        local simplex: those of cones on every face, the local simplex
-        included, and those of this table on every proper face.
+    def basis(self, labels) -> list:
+        """The sublist of the kept list of labels, in the same order, of the
+        templates whose boundaries each take a new pivot in local indices,
+        reduced after the bases that come before them in the feed order on
+        the closed local simplex: those of cones on every face, the local
+        simplex included, and those of this table on every proper face.
 
-        It is decided on the first call and kept in keep, so a template set
-        and label vector that only ever reach `lg_ranks` past its exit are
-        never reduced.
+        It is decided on the first call, so a template set and label vector
+        that only ever reach `lg_ranks` past its exit are never reduced,
+        and an empty kept list is its own basis, with no reduction.
         """
-        if keep.basis is None:
-            labels, cones = keep.labels, self.cones
-            size = len(labels)
-            earlier = [(face, self.basis(self[face_labels])) for face, face_labels
-                       in _faces(labels, range(_least_size(*self.shape), size))]
-            if cones is not None:
-                earlier += [(face, cones.basis(cones[face_labels])) for face, face_labels
-                            in _faces(labels, range(_least_size(*cones.shape), size + 1))]
-            reduction = ColumnReduction()
-            rows = {}
-            for face, basis in earlier:
-                for t in basis:
-                    reduction.add_column(_column(t, face, rows))
-            local = range(size)
-            keep.basis = [t for t in keep
-                          if reduction.add_column(_column(t, local, rows)) is not None]
-        return keep.basis
+        basis = self.bases.get(labels)
+        if basis is None:
+            basis = self[labels]
+            if basis:
+                cones, size = self.cones, len(labels)
+                earlier = [(face, self.basis(face_labels)) for face, face_labels
+                           in _faces(labels, range(_least_size(*self.shape), size))]
+                if cones is not None:
+                    earlier += [(face, cones.basis(face_labels)) for face, face_labels
+                                in _faces(labels, range(_least_size(*cones.shape), size + 1))]
+                reduction = ColumnReduction()
+                rows = {}
+                for face, face_basis in earlier:
+                    for t in face_basis:
+                        reduction.add_column(_column(t, face, rows))
+                local = range(size)
+                basis = [t for t in basis
+                         if reduction.add_column(_column(t, local, rows)) is not None]
+            self.bases[labels] = basis
+        return basis
 
     def cells(self):
-        """(simplex, keep) for every simplex of a size that supports cells
-        of this shape, in `enumerate_cells` order; the cells of that simplex
-        allowed at the apex floor are t.pick(simplex) for t in keep, in that
-        order, and keep is the same `_Kept` list for every simplex carrying
-        the same labels."""
+        """(simplex, its label vector) for every simplex of a size that
+        supports cells of this shape, in `enumerate_cells` order; the cells
+        of that simplex allowed at the apex floor are t.pick(simplex) for t
+        in self[labels], in that order."""
         k = self.k
         label = k.labels.__getitem__
         for s in _sizes(k, *self.shape):
             for simplex in k.simplices_of_dim(s - 1):
-                yield simplex, self[tuple(map(label, simplex))]
-
-
-def _allowed_cells(k: StratifiedComplex, i: int, j: int, w1: int):
-    """The cells of shape (i, j) allowed at the apex floor w1, by simplex:
-    `_Table.cells` of a new table."""
-    return _Table(k, i, j, w1).cells()
+                yield simplex, tuple(map(label, simplex))
 
 
 def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
@@ -465,12 +451,13 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
     pos = {}
     rows = {}
     zred = ColumnReduction()
-    # rows are keyed by (j, images) of the cells they stand for
+    # rows are keyed by the images of the cells they stand for (see the
+    # module docstring)
     table = _Table(k, i, 0, w1)
-    for simplex, keep in table.cells():
-        for t in keep:
-            pos[0, t.pick(simplex)] = len(pos)
-        for t in table.basis(keep):
+    for simplex, labels in table.cells():
+        for t in table[labels]:
+            pos[t.pick(simplex)] = len(pos)
+        for t in table.basis(labels):
             zred.add_column(_column(t, simplex, rows))
     n_allowed = len(pos)
     cycles = n_allowed - zred.rank
@@ -483,11 +470,11 @@ def lg_ranks(k: StratifiedComplex, i: int, w1: int) -> LgReport:
     prisms = _Table(k, i, 1, w1)
     for table in (prisms.cones, prisms):
         n = 0
-        for simplex, keep in table.cells():
-            n += len(keep)
+        for simplex, labels in table.cells():
+            n += len(table[labels])
             if boundaries == full:
                 continue
-            for t in table.basis(keep):
+            for t in table.basis(labels):
                 if boundaries == full:
                     break
                 low = bred.add_column(_column(t, simplex, pos))

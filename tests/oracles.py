@@ -1,10 +1,13 @@
 """Independent cross-check implementations used to pin expected values.
 
-Everything here is deliberately naive: dense matrices, row reduction
-written out by hand, cell enumeration spelled directly from the
-definitions.  Nothing imports the package's linear algebra or chain
-assembly, so agreement is evidence rather than tautology.  Slow is fine;
-these only ever run on desk-sized inputs.
+Everything here is written out by hand: dense rational row reduction
+(`row_reduce`, `dense_rank`, `nullspace`), a sparse integer column
+reduction (`column_pivots`), and cell enumeration spelled directly from
+the definitions.  Nothing imports the package, so agreement is evidence
+rather than tautology.  Slow is fine: tier-1 runs the dense eliminations
+on small complexes and `sparse_lg_rank` on the cone and the suspension of
+the 7-vertex torus, and tests/scale_check.py runs `sparse_lg_rank` and
+`naive_ih_report` on the subdivided suspended torus.
 """
 
 from fractions import Fraction

@@ -1,4 +1,5 @@
 """Cells of shape (i,0) and (i,1), allowability with the apex floor, rank oracle checks."""
+import gc
 import sys
 from collections import Counter
 from itertools import chain
@@ -24,7 +25,6 @@ from strathom.errors import ValidationError
 from strathom.exactla import ColumnReduction
 from strathom.lghomology import (
     _Table,
-    _allowed_cells,
     _canonical,
     _sizes,
     _templates,
@@ -142,13 +142,14 @@ def test_template_cells_are_the_specified_cells():
                     # every boundary in use is compared at w = 0
                     for w1 in range(k.dim + 1):
                         spec = [c for c in cells if cell_allowed(k, c, w1)]
-                        got = [(simplex, t) for simplex, keep in _allowed_cells(k, i, j, w1)
-                               for t in keep]
+                        table = _Table(k, i, j, w1)
+                        got = [(simplex, t) for simplex, labels in table.cells()
+                               for t in table[labels]]
                         assert [(j, t.pick(simplex)) for simplex, t in got] == spec, \
                             (entry.name, i, j, w1)
                         for c, (simplex, t) in zip(spec, got) if w1 == 0 else ():
-                            assert {(cj, cpick(simplex)): coef for cj, cpick, coef in t.terms} == \
-                                cell_boundary(c)
+                            assert [(cpick(simplex), coef) for cpick, coef in t.terms] == \
+                                [(images, coef) for (_, images), coef in cell_boundary(c).items()]
                         counts[i, j, w1] = len(spec)
             for w1 in range(k.dim + 1):
                 assert list(lg_ranks(k, 0, w1).cells.values()) == [
@@ -234,8 +235,8 @@ def test_cell_allowed_desk_cases():
 
 
 def test_each_picked_label_tuple_is_judged_once_per_call(monkeypatch):
-    # Within one _allowed_cells call the verdict of a template reads only
-    # the labels it picks, and each distinct picked tuple is judged once;
+    # Within one table the verdict of a template reads only the labels it
+    # picks, and each distinct picked tuple is judged once;
     # nothing outlives the call, so two identical lg_ranks calls judge as
     # many tuples each.
     k = barycentric_subdivision(by_name("susp_hexagon"))
@@ -253,8 +254,9 @@ def test_each_picked_label_tuple_is_judged_once_per_call(monkeypatch):
                   for simplex in k.simplices_of_dim(s - 1)}
         for w1 in range(k.dim + 1):
             judged.clear()
-            for _ in _allowed_cells(k, i, j, w1):
-                pass
+            table = _Table(k, i, j, w1)
+            for _, labels in table.cells():
+                table[labels]
             assert sorted(judged) == sorted(picked), (i, j, w1)
     judged.clear()
     first = lg_ranks(k, 1, 0)
@@ -327,8 +329,8 @@ def test_allowed_cells_pinned_at_every_w(build, ranks, cells):
     pytest.param(lambda: by_name("susp_torus7").with_strata(3), 0, 0, id="susp_torus7-flat-0"),
 ])
 def test_pinned_ranks_match_the_sparse_oracle(build, w1, rank):
-    # Nine of the twelve pinned (complex, w) cases at i = 1, and susp_torus7
-    # under the trivial stratification.  The other three agree too; they
+    # Eight of the twelve pinned (complex, w) cases at i = 1, and susp_torus7
+    # under the trivial stratification.  The other four agree too; they
     # would add about 4 s.
     k = build()
     strata, maximal = _oracle_inputs(k)
@@ -423,8 +425,8 @@ def test_boundary_columns_stop_once_they_span_the_cycles(monkeypatch):
     # bases hold 0 (0,0), 108 (1,0) and 60 (0,1) columns in all.
     sd = barycentric_subdivision(by_name("cone_hexagon"))
     tables = [_Table(sd, i, j, 0) for i, j in ((0, 0), (1, 0), (0, 1))]
-    bases = sum(len(table.basis(keep)) for table in tables for _, keep in table.cells())
-    prisms = len({id(t) for _, keep in _allowed_cells(sd, 0, 1, 0) for t in keep})
+    bases = sum(len(table.basis(labels)) for table in tables for _, labels in table.cells())
+    prisms = len({id(t) for _, labels in tables[2].cells() for t in tables[2][labels]})
     calls = 0
     add_column = ColumnReduction.add_column
     compiled = Counter()
@@ -452,6 +454,72 @@ def test_boundary_columns_stop_once_they_span_the_cycles(monkeypatch):
     assert (nonzero.cycles, nonzero.boundaries) == (132, 131)
     assert 0 < calls < bases == 168
     assert 0 < compiled[0, 1] < prisms
+
+
+def test_an_empty_kept_list_is_its_own_basis_without_a_reduction(monkeypatch):
+    # A label vector that keeps no template has nothing to reduce, so its
+    # basis feeds no column, not even those of the bases on its faces.
+    sd = barycentric_subdivision(by_name("cone_hexagon"))
+    basis = _Table.basis
+    add_column = ColumnReduction.add_column
+    asked_empty = 0
+    fed = []
+
+    def asked(self, labels):
+        nonlocal asked_empty
+        asked_empty += not self[labels]
+        return basis(self, labels)
+
+    def counted(self, col):
+        frame = sys._getframe(1)
+        if frame.f_code is basis.__code__:
+            fed.append(frame.f_locals["self"][frame.f_locals["labels"]])
+        return add_column(self, col)
+
+    monkeypatch.setattr(_Table, "basis", asked)
+    monkeypatch.setattr(ColumnReduction, "add_column", counted)
+    for i in (0, 1):
+        for w1 in range(sd.dim + 1):
+            lg_ranks(sd, i, w1)
+    assert asked_empty > 0 and fed
+    assert all(fed)
+
+
+def test_lg_ranks_leaves_no_reference_cycles():
+    # A call's tables, kept lists, bases and caches refer to no table, so
+    # everything a call builds is freed by reference count; cli.main pauses
+    # the cyclic collector for the work, so cycles would wait for it.
+    sd = barycentric_subdivision(by_name("cone_square"))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for i in (0, 1):
+            for w1 in range(sd.dim + 1):
+                lg_ranks(sd, i, w1)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_childs_length_fixes_its_j_within_one_row_map():
+    # The row maps key a cell by its images alone.  One row map holds the
+    # boundary children of one shape's templates and, for a prism shape
+    # (i, 1), those of the (i+1,0) templates it reduces against and the
+    # (i,0) cells that lg_ranks numbers first; no images may stand for two
+    # cells of different j among them.
+    for i in range(4):
+        for j in (0, 1):
+            seen = {}
+            for s in range(1, 5):
+                for shape in ((i, j), (i + 1, 0)) if j else ((i, j),):
+                    for t in _templates(*shape, s):
+                        for cj, images in cell_boundary(t.cell):
+                            seen.setdefault(images, set()).add(cj)
+                for t in _templates(i, 0, s) if j else ():
+                    seen.setdefault(t.cell[1], set()).add(0)
+            assert all(len(js) == 1 for js in seen.values()), (i, j)
 
 
 def test_prisms_past_the_exit_are_counted_but_never_compiled(monkeypatch):
@@ -489,15 +557,16 @@ def test_each_simplex_feeds_a_basis_of_its_allowed_boundaries():
             for i, j in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1)):
                 for w1 in range(k.dim + 1):
                     table = _Table(k, i, j, w1)
-                    for simplex, keep in table.cells():
+                    for simplex, labels in table.cells():
                         named = tuple(k.vertices[v] for v in simplex)
                         key = i, j, w1, tuple(strata[v] for v in named)
                         if key in checked:
                             continue
                         checked.add(key)
-                        cells = [_oracle_form(_named(k, (j, t.pick(simplex)))) for t in keep]
+                        cells = [_oracle_form(_named(k, (j, t.pick(simplex))))
+                                 for t in table[labels]]
                         fed = [_oracle_form(_named(k, (j, t.pick(simplex))))
-                               for t in table.basis(keep)]
+                               for t in table.basis(labels)]
                         assert sorted(cells) == [
                             c for c in oracle[j]([named], i)
                             if _lg_allowed(c, strata, k.dim, k.perversity, w1)], (entry.name, key)

@@ -5,7 +5,7 @@ from random_complexes import every_perversity
 from strathom.complexes import StratifiedComplex, barycentric_subdivision
 from strathom.corpus import by_name, small_members
 from strathom.ihomology import ih_ranks
-from strathom.lghomology import _allowed_cells, _canonical, lg_ranks
+from strathom.lghomology import _Table, _canonical, lg_ranks
 
 
 def _reversed_spelling(k):
@@ -22,8 +22,9 @@ def _allowed_named(k, i, j, w1, old=None):
     """The cells lg_ranks uses at (i, j) and w1, spelled in vertex names
     (mapped through old when given), columns sorted by name."""
     names = [old[v] for v in k.vertices] if old else k.vertices
+    table = _Table(k, i, j, w1)
     return {_canonical(j, tuple(names[v] for v in t.pick(simplex)))[1]
-            for simplex, keep in _allowed_cells(k, i, j, w1) for t in keep}
+            for simplex, labels in table.cells() for t in table[labels]}
 
 
 @pytest.mark.parametrize("subdivided", [False, True], ids=["plain", "sd"])
